@@ -31,6 +31,7 @@ import dataclasses
 import json
 import pathlib
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -76,6 +77,14 @@ class WindowRecord:
     #: columnar kernel), "golden" (per-record replay loop), "lockstep"
     #: (no trace store), or None (untimed window or result-cache hit).
     timing_path: Optional[str] = None
+    #: The kernel that actually replayed the window: "vector", "loop"
+    #: or "golden" (None where ``timing_path`` is None or "lockstep").
+    timing_kernel: Optional[str] = None
+    #: Why the vector kernel did or did not replay it: "admitted",
+    #: "dense" / "shared_lfsr" (refused by admission) or "envelope"
+    #: (delegated by the solver); None when the vector kernel was not
+    #: the selected kernel.
+    timing_route: Optional[str] = None
     #: Replay throughput in trace records per second (replays only).
     replay_records_per_s: Optional[float] = None
     #: Execution attempts this window took (1 = first try; ``None`` on
@@ -121,7 +130,8 @@ class RunRecorder:
 
     def record(self, record: WindowRecord) -> None:
         self.records.append(record)
-        self._append_line(record.to_dict())
+        if self.log_path is not None:  # to_dict() costs ~1 us a field
+            self._append_line(record.to_dict())
 
     def write_validation(self, detail: Dict[str, Any]) -> None:
         """Log one typed fast-path divergence record (the watchdog's
@@ -164,11 +174,19 @@ class RunRecorder:
                                     if r.timing_path == "fast"),
             "goldenpath_windows": sum(1 for r in self.records
                                       if r.timing_path == "golden"),
+            "timing_kernels": _tally(r.timing_kernel for r in self.records),
+            "timing_routes": _tally(r.timing_route for r in self.records),
             "validation_passes": sum(1 for r in self.records
                                      if r.validation == "pass"),
             "validation_divergences": sum(1 for r in self.records
                                           if r.validation == "divergence"),
         }
+
+
+def _tally(values) -> Dict[str, int]:
+    """Occurrences of each non-None value, in sorted key order."""
+    counts = Counter(value for value in values if value is not None)
+    return dict(sorted(counts.items()))
 
 
 # ----------------------------------------------------------------------

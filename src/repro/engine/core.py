@@ -787,6 +787,8 @@ class ExperimentEngine:
             trace_bytes=trace_info.get("trace_bytes"),
             functional_steps=trace_info.get("functional_steps"),
             timing_path=trace_info.get("timing_path"),
+            timing_kernel=trace_info.get("timing_kernel"),
+            timing_route=trace_info.get("timing_route"),
             replay_records_per_s=trace_info.get("replay_records_per_s"),
             attempts=attempts,
             error=error,

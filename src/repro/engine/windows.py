@@ -115,6 +115,8 @@ def _timed_window(
         "trace_bytes": trace.nbytes,
         "functional_steps": functional_steps,
         "timing_path": replay_info.get("timing_path"),
+        "timing_kernel": replay_info.get("timing_kernel"),
+        "timing_route": replay_info.get("timing_route"),
         "replay_records_per_s": replay_info.get("replay_records_per_s"),
     }
     for field in ("validation", "validation_policy",
@@ -368,6 +370,8 @@ def _timed_window_group(
             "trace_bytes": trace.nbytes,
             "functional_steps": functional_steps if position == 0 else 0,
             "timing_path": replay_info.get("timing_path"),
+            "timing_kernel": replay_info["window_kernels"][position],
+            "timing_route": replay_info["window_routes"][position],
             "replay_records_per_s": replay_info.get("replay_records_per_s"),
             "batch_windows": replay_info.get("batch_windows"),
         }

@@ -19,8 +19,8 @@ store are bypassed), its columns decoded up front (``decode_s`` is
 reported separately), each kernel's stats checked byte-identical to
 the golden model, and each kernel timed.  Every per-kernel row is
 tagged with the kernel that actually executed — the vector kernel
-delegates windows outside its exactness envelope to the loop kernel,
-and the tag records that.
+routes windows it does not admit, or cannot solve exactly, to the
+loop kernel, and the tag records that.
 
 The emitted document (``BENCH_timing.json`` under ``--out``) is the
 machine-readable perf trajectory: per-window and per-kernel records/s

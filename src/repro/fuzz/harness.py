@@ -7,7 +7,9 @@ codebase has for producing :class:`~repro.timing.pipeline.TimingStats`:
   (:func:`~repro.timing.runner.time_window`);
 * ``golden`` — record-once / golden replay (``fast="off"``);
 * ``loop`` — the batched loop kernel (``fast="loop"``);
-* ``vector`` — the numpy span-replay kernel (``fast="vector"``);
+* ``vector`` — the numpy span-replay kernel, entered past admission's
+  cost check so the dense adversarial windows production routes to the
+  loop kernel still exercise its solver;
 * ``trap`` — the two-word trap-emulated ``brr`` encoding, compared on
   the encoding-independent *functional* projection (checksum, marker
   counts, branch-on-random resolutions) because its code addresses and
@@ -150,7 +152,12 @@ def _timing_payloads(adversarial: AdversarialProgram,
                      config: TimingConfig,
                      fault: Optional[FaultHook]) -> Dict[str, Dict[str, Any]]:
     """Canonical TimingStats dicts for every timing path."""
-    from ..timing.runner import record_window, replay_window, time_window
+    from ..timing.runner import (
+        _replay_solver,
+        record_window,
+        replay_window,
+        time_window,
+    )
 
     program = adversarial.program()
     source = adversarial.source()
@@ -162,11 +169,13 @@ def _timing_payloads(adversarial: AdversarialProgram,
                            brr_unit=adversarial.brr_unit(),
                            setup=adversarial.setup)
     payloads["lockstep"] = lockstep.stats.to_dict()
-    for path, fast in (("golden", "off"), ("loop", "loop"),
-                       ("vector", "vector")):
+    for path, fast in (("golden", "off"), ("loop", "loop")):
         result = replay_window(trace, begin=_BEGIN, end=_END, config=config,
                                program=program, fast=fast)
         payloads[path] = result.stats.to_dict()
+    result = _replay_solver(trace, begin=_BEGIN, end=_END, config=config,
+                            program=program)
+    payloads["vector"] = result.stats.to_dict()
     if fault is not None:
         payloads = {path: fault(path, source, payload)
                     for path, payload in payloads.items()}

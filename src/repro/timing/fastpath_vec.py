@@ -45,13 +45,22 @@ equivalence, not a heuristic.  Optimistic in-pass resume estimates
 usually tracks ``fetch + frontend_depth``) make real traces converge
 in 2-4 iterations.
 
-Anything outside the kernel's exactness envelope delegates to the loop
-kernel, which is itself pinned byte-identical to the golden model:
-trap-emulated traces, shared-LFSR arbitration over brr records
-(serially couples decode), issue requests far enough behind the
-frontier to interact with ``_Bandwidth`` pruning, and windows that
-fail to converge under the iteration cap.  ``REPRO_FAST=vector`` (the
-default) selects this kernel; see ``docs/performance.md``.
+Windows the kernel does not finish are replayed by the loop kernel,
+which is itself pinned byte-identical to the golden model.  One place
+decides up front — *admission*, before any per-window pass runs:
+
+* ``dense``: more than :data:`MAX_CONTROL_SHARE` of the window's
+  records are control flow, so spans are short, the fixpoint is slow
+  to converge and the loop kernel is the cheaper exact replay;
+* ``shared_lfsr``: shared-LFSR arbitration over brr records serially
+  couples decode, which the span passes cannot express.
+
+Inside :func:`_solve`, ``envelope`` covers the rest: issue requests
+far enough behind the frontier to interact with ``_Bandwidth``
+pruning, and windows that fail to converge under the iteration caps.
+Trap-emulated traces raise :class:`FastPathUnsupported`.
+``REPRO_FAST=vector`` (the default) selects this kernel; see
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -81,6 +90,26 @@ MAX_OUTER_ITERATIONS = 60
 #: Dataflow (operand-forwarding) inner fixpoint cap per outer pass.
 MAX_INNER_ITERATIONS = 60
 
+#: Admission: a window whose control-flow records (``_K_COND`` ..
+#: ``_K_JR``) exceed this share of its records goes straight to the
+#: loop kernel.  Measured per replay (first and repeat replays of a
+#: window), vector vs loop kernel, on a 2-vCPU x86-64 host:
+#:
+#: * figure12 windows (scale 0.01-1.0, 115 replays, 14.8k-155k
+#:   records): share 0.012-0.050; vector faster on 106;
+#: * entropy-sweep windows (scale 16, 20 replays, 272-1048 records):
+#:   share 0.153-0.588; vector faster on none;
+#: * figure13 microbench windows (scale 144, 164 replays, 1.1k-2.7k
+#:   records): share 0.300-0.564; vector faster on none, 1.9-28x
+#:   slower, and 74 of them fail the envelope inside ``_solve``;
+#: * adversarial fuzz windows (24 replays, 104-264 records): share
+#:   0.261-0.367; vector faster on none.
+#:
+#: 1/8 sits inside the empty gap between 0.050 and 0.153.  The record
+#: count needs no floor of its own: every measured window under 14.8k
+#: records is also dense.
+MAX_CONTROL_SHARE = 1 / 8
+
 #: Bound of the per-trace memo dict (word tables, event passes,
 #: per-config prep bundles) hung off ``TraceColumns.vec_cache``.
 VEC_CACHE_ENTRIES = 10
@@ -91,8 +120,14 @@ last_iterations = 0
 
 #: How the most recent :func:`run_fastpath_vec` call actually replayed
 #: the window: ``"vector"`` (converged fixpoint) or ``"loop"`` (the
-#: window was outside the vector envelope and the loop kernel ran).
+#: loop kernel ran; :data:`last_route` says why).
 last_kernel: Optional[str] = None
+
+#: Why the most recent call replayed the way it did: ``"admitted"``
+#: (the vector kernel finished), ``"dense"`` or ``"shared_lfsr"``
+#: (refused by admission) or ``"envelope"`` (admitted, then delegated
+#: by :func:`_solve`).
+last_route: Optional[str] = None
 
 
 class _Delegate(Exception):
@@ -108,9 +143,16 @@ def _memo(cols: TraceColumns) -> Dict:
     cache = cols.vec_cache
     if cache is None:
         cache = cols.vec_cache = {}
-    while len(cache) > VEC_CACHE_ENTRIES:
-        del cache[next(iter(cache))]
     return cache
+
+
+def _remember(cache: Dict, key, entry):
+    """Insert into a per-trace memo, evicting the oldest entries so it
+    holds at most :data:`VEC_CACHE_ENTRIES` afterwards."""
+    while len(cache) >= VEC_CACHE_ENTRIES:
+        del cache[next(iter(cache))]
+    cache[key] = entry
+    return entry
 
 
 def _np_tables(cols: TraceColumns):
@@ -120,16 +162,38 @@ def _np_tables(cols: TraceColumns):
     if hit is not None:
         return hit
     kclass, src1, src2, dest, lat, is_ret = _word_tables(cols.instrs)
-    entry = (
+    return _remember(cache, "tables", (
         _np.frombuffer(bytes(kclass), dtype=_np.uint8),
         _np.asarray(src1, dtype=_np.int64),
         _np.asarray(src2, dtype=_np.int64),
         _np.asarray(dest, dtype=_np.int64),
         _np.asarray(lat, dtype=_np.int64),
         bytes(is_ret),
-    )
-    cache["tables"] = entry
-    return entry
+    ))
+
+
+def _window_kc(cols: TraceColumns, lo: int, hi: int):
+    """Per-record kernel class of records ``lo .. hi-1``."""
+    wid_np = _np.frombuffer(cols.word_id, dtype=_np.int64)[lo:hi]
+    return _np_tables(cols)[0][wid_np]
+
+
+def _admit(kc, cfg: TimingConfig, cost_check: bool) -> str:
+    """Admission: route a window before any per-window pass runs.
+
+    Returns ``"admitted"``, or why the loop kernel replays it instead:
+    ``"shared_lfsr"`` (the single-LFSR priority encoder serially
+    couples the decode of consecutive brr records — an exactness
+    limit) or ``"dense"`` (a cost verdict, see
+    :data:`MAX_CONTROL_SHARE`; skipped when ``cost_check`` is false).
+    """
+    if cfg.brr_shared_lfsr and bool((kc == _K_BRR).any()):
+        return "shared_lfsr"
+    if cost_check:
+        control = _np.count_nonzero((kc >= _K_COND) & (kc <= _K_JR))
+        if control > MAX_CONTROL_SHARE * kc.size:
+            return "dense"
+    return "admitted"
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +202,7 @@ def _np_tables(cols: TraceColumns):
 # repeated replay pays them once.
 
 
-def _cache_pass(cols: TraceColumns, lo: int, hi: int, cfg: TimingConfig,
+def _cache_pass(cols: TraceColumns, lo: int, hi: int, kc, cfg: TimingConfig,
                 program, prewarm_code: bool):
     """Exact cache-hierarchy sweep.
 
@@ -185,9 +249,6 @@ def _cache_pass(cols: TraceColumns, lo: int, hi: int, cfg: TimingConfig,
             addr += line_bytes
 
     pc_np = _np.frombuffer(cols.pc, dtype=_np.int64)[lo:hi]
-    wid_np = _np.frombuffer(cols.word_id, dtype=_np.int64)[lo:hi]
-    kcw = _np_tables(cols)[0]
-    kc = kcw[wid_np]
     linev = pc_np // line_bytes
     lc = _np.empty(m, dtype=bool)
     lc[0] = True  # last_line starts at -1: the first record looks up
@@ -261,7 +322,7 @@ def _cache_pass(cols: TraceColumns, lo: int, hi: int, cfg: TimingConfig,
                     lat = 1
                 dlat[e] = lat
 
-    entry = (
+    return _remember(cache, key, (
         _np.frombuffer(ifill, dtype=_np.int64),
         _np.frombuffer(dlat, dtype=_np.int64),
         _np.cumsum(_np.frombuffer(im_d, dtype=_np.uint8),
@@ -270,12 +331,11 @@ def _cache_pass(cols: TraceColumns, lo: int, hi: int, cfg: TimingConfig,
                    dtype=_np.int64),
         _np.cumsum(_np.frombuffer(l2_d, dtype=_np.uint8),
                    dtype=_np.int64),
-    )
-    cache[key] = entry
-    return entry
+    ))
 
 
-def _branch_pass(cols: TraceColumns, lo: int, hi: int, cfg: TimingConfig):
+def _branch_pass(cols: TraceColumns, lo: int, hi: int, kc,
+                 cfg: TimingConfig):
     """Exact predictor/BTB/RAS sweep over control-flow records.
 
     Returns ``(mis, ptk, counters)`` where ``mis``/``ptk`` are
@@ -292,9 +352,7 @@ def _branch_pass(cols: TraceColumns, lo: int, hi: int, cfg: TimingConfig):
         return hit
 
     m = hi - lo
-    wid_np = _np.frombuffer(cols.word_id, dtype=_np.int64)[lo:hi]
-    kcw, _s1, _s2, _d, _l, is_ret = _np_tables(cols)
-    kc = kcw[wid_np]
+    is_ret = _np_tables(cols)[5]
     ctl = _np.flatnonzero((kc >= _K_COND) & (kc <= _K_JR))
 
     mis_b = bytearray(m)
@@ -447,9 +505,7 @@ def _branch_pass(cols: TraceColumns, lo: int, hi: int, cfg: TimingConfig):
         "breaks": _np.cumsum((mis_np == 0) & (ptk_np != 0),
                              dtype=_np.int64),
     }
-    entry = (mis_np, ptk_np, counters)
-    cache[key] = entry
-    return entry
+    return _remember(cache, key, (mis_np, ptk_np, counters))
 
 
 # ----------------------------------------------------------------------
@@ -509,12 +565,12 @@ def _alloc_issue(req, width: int):
 # The kernel.
 
 
-def _prep(cols: TraceColumns, lo: int, hi: int, cfg: TimingConfig,
+def _prep(cols: TraceColumns, lo: int, hi: int, kc, cfg: TimingConfig,
           program, prewarm_code: bool) -> Dict:
-    """Everything about a (window, config) pair that does not change
-    across replays: expanded tables, event-pass products, dataflow
-    last-writer links, deque-lag gather indices and the fetch-span
-    structure.  Cached on the trace's columns."""
+    """Everything about an admitted (window, config) pair that does not
+    change across replays: expanded tables, event-pass products,
+    dataflow last-writer links, deque-lag gather indices and the
+    fetch-span structure.  Cached on the trace's columns."""
     key = ("prep", lo, hi, cfg, bool(prewarm_code))
     cache = _memo(cols)
     hit = cache.get(key)
@@ -523,18 +579,11 @@ def _prep(cols: TraceColumns, lo: int, hi: int, cfg: TimingConfig,
 
     m = hi - lo
     wid_np = _np.frombuffer(cols.word_id, dtype=_np.int64)[lo:hi]
-    kcw, src1w, src2w, destw, latw, _ret = _np_tables(cols)
-    kc = kcw[wid_np]
-
-    if cfg.brr_shared_lfsr and bool((kc == _K_BRR).any()):
-        # The single-LFSR priority encoder serially couples the decode
-        # of consecutive brr records; the loop kernel handles it.
-        cache[key] = {"delegate": True}
-        raise _Delegate()
+    src1w, src2w, destw, latw = _np_tables(cols)[1:5]
 
     ifill, dlat, im_c, dm_c, l2_c = _cache_pass(
-        cols, lo, hi, cfg, program, prewarm_code)
-    mis, ptk, bcounters = _branch_pass(cols, lo, hi, cfg)
+        cols, lo, hi, kc, cfg, program, prewarm_code)
+    mis, ptk, bcounters = _branch_pass(cols, lo, hi, kc, cfg)
 
     ar = _np.arange(m, dtype=_np.int64)
     if cfg.brr_commits_at_decode:
@@ -595,7 +644,7 @@ def _prep(cols: TraceColumns, lo: int, hi: int, cfg: TimingConfig,
     loads_c = _np.cumsum(kc == _K_LOAD, dtype=_np.int64)
     stores_c = _np.cumsum(kc == _K_STORE, dtype=_np.int64)
 
-    entry = {
+    return _remember(cache, key, {
         "m": m, "kc": kc, "cad": cad, "nc_idx": nc_idx,
         "ar": ar, "ar_nc": ar_nc, "lat_nc": lat_nc,
         "lw1": lw1, "lw2": lw2,
@@ -618,9 +667,7 @@ def _prep(cols: TraceColumns, lo: int, hi: int, cfg: TimingConfig,
             "loads": loads_c, "stores": stores_c,
             "imiss": im_c, "dmiss": dm_c, "l2miss": l2_c,
         },
-    }
-    cache[key] = entry
-    return entry
+    })
 
 
 def run_fastpath_vec(
@@ -637,12 +684,29 @@ def run_fastpath_vec(
     Same contract and snapshot-and-subtract schedule as
     :func:`repro.timing.fastpath.run_fastpath`; raises
     :class:`FastPathUnsupported` when numpy is unavailable or the
-    trace is trap-emulated.  Windows inside the kernel's envelope but
-    outside its convergence/exactness guarantees are transparently
-    replayed by the loop kernel, so the result is always byte-identical
-    to the golden model.
+    trace is trap-emulated.  Windows that admission refuses, or that
+    fall outside the solver's convergence/exactness guarantees, are
+    transparently replayed by the loop kernel, so the result is always
+    byte-identical to the golden model.  :data:`last_kernel` and
+    :data:`last_route` report what happened.
     """
-    global last_iterations
+    return _run(trace, i_skip, i_begin, i_end, config, program,
+                prewarm_code, cost_check=True)
+
+
+def _run(trace: RecordedTrace, i_skip: int, i_begin: int, i_end: int,
+         config: Optional[TimingConfig], program, prewarm_code: bool,
+         cost_check: bool) -> TimingStats:
+    """:func:`run_fastpath_vec`, whose admission skips its cost check
+    when ``cost_check`` is false.
+
+    That is the private entry of the equivalence suites and
+    ``repro.fuzz``: dense windows, which production routes to the loop
+    kernel, still reach :func:`_solve` there, so the solver stays under
+    test.  The shared-LFSR check stays on — it is an exactness limit,
+    not a cost verdict.
+    """
+    global last_kernel, last_iterations, last_route
     if _np is None:
         raise FastPathUnsupported("numpy is unavailable")
     cfg = config or TimingConfig()
@@ -655,26 +719,30 @@ def run_fastpath_vec(
     lo = i_skip + 1
     hi = i_end + 1
     m = hi - lo
-    global last_kernel, last_iterations
     last_iterations = 0
     if m <= 0:
-        last_kernel = "vector"
+        last_kernel, last_route = "vector", "admitted"
         stats = TimingStats()
         tap = _fp._stats_tap
         return tap(stats) if tap is not None else stats
 
-    p = None
-    try:
-        p = _prep(cols, lo, hi, cfg, program, prewarm_code)
+    kc = _window_kc(cols, lo, hi)
+    route = _admit(kc, cfg, cost_check)
+    if route == "admitted":
+        p = _prep(cols, lo, hi, kc, cfg, program, prewarm_code)
+        # A previous replay of this (window, config) that fell outside
+        # the envelope marked the prep bundle; skip straight to the
+        # loop kernel instead of re-paying the failed vector attempt.
         if p.get("delegate"):
-            # A previous replay of this (window, config) fell outside
-            # the exactness envelope; skip straight to the loop kernel
-            # instead of re-paying the failed vector attempt.
-            raise _Delegate()
-        fetch, decode, complete, commit, F_list = _solve(p, cfg)
-    except _Delegate:
-        if p is not None:
-            p["delegate"] = True
+            route = "envelope"
+        else:
+            try:
+                fetch, decode, _complete, commit, _F = _solve(p, cfg)
+            except _Delegate:
+                p["delegate"] = True
+                route = "envelope"
+    last_route = route
+    if route != "admitted":
         last_kernel = "loop"
         return _fp.run_fastpath(trace, i_skip, i_begin, i_end,
                                 config=cfg, program=program,

@@ -275,11 +275,13 @@ _last_replay_info: Optional[Dict[str, object]] = None
 
 def _set_replay_info(path: str, records: int, elapsed: float,
                      validation: Optional[Dict[str, object]] = None,
-                     kernel: Optional[str] = None) -> None:
+                     kernel: Optional[str] = None,
+                     route: Optional[str] = None) -> None:
     global _last_replay_info
     _last_replay_info = {
         "timing_path": path,
         "timing_kernel": kernel or path,
+        "timing_route": route,
         "replay_records": records,
         "replay_records_per_s": (records / elapsed) if elapsed > 0 else None,
     }
@@ -335,24 +337,31 @@ def _replay_resolved(
     if mode != "off":
         try:
             started = time.perf_counter()
-            if mode == "vector":
-                stats = fastpath_vec.run_fastpath_vec(
-                    trace, i_skip, i_begin, i_end, config=config,
-                    program=program, prewarm_code=prewarm_code,
-                )
-                kernel = fastpath_vec.last_kernel
-            else:
+            if mode == "loop":
                 stats = run_fastpath(
                     trace, i_skip, i_begin, i_end, config=config,
                     program=program, prewarm_code=prewarm_code,
                 )
-                kernel = "loop"
+                kernel, route = "loop", None
+            else:
+                if mode == "vector":
+                    stats = fastpath_vec.run_fastpath_vec(
+                        trace, i_skip, i_begin, i_end, config=config,
+                        program=program, prewarm_code=prewarm_code,
+                    )
+                else:  # "solver": only _replay_solver/_replay_batch
+                    stats = fastpath_vec._run(
+                        trace, i_skip, i_begin, i_end, config, program,
+                        prewarm_code, cost_check=False)
+                kernel = fastpath_vec.last_kernel
+                route = fastpath_vec.last_route
             elapsed = time.perf_counter() - started
             stats, validation = _maybe_validate(
                 stats, trace, i_skip, i_begin, i_end, config,
                 program, prewarm_code)
             _set_replay_info("fast", n_replayed, elapsed,
-                             validation=validation, kernel=kernel)
+                             validation=validation, kernel=kernel,
+                             route=route)
             return WindowResult(stats=stats, total_steps=i_end + 1)
         except FastPathUnsupported:
             pass  # golden loop below reproduces (or raises) exactly
@@ -383,13 +392,14 @@ def replay_window(
     image's address range is not part of the trace).
 
     ``fast`` selects the execution strategy: ``"vector"`` (the
-    :mod:`~repro.timing.fastpath_vec` fixpoint kernel, which delegates
-    to the loop kernel outside its envelope), ``"loop"`` (the
-    per-record columnar kernel of :mod:`~repro.timing.fastpath`), or
-    ``"off"`` / ``False`` (the per-record golden loop).  ``True`` is
-    accepted as ``"vector"`` for backward compatibility.  ``None``
-    (default) follows the ``REPRO_FAST`` environment knob.  Every
-    strategy produces byte-identical stats.
+    :mod:`~repro.timing.fastpath_vec` fixpoint kernel, which routes
+    windows it does not admit or cannot solve exactly to the loop
+    kernel), ``"loop"`` (the per-record columnar kernel of
+    :mod:`~repro.timing.fastpath`), or ``"off"`` / ``False`` (the
+    per-record golden loop).  ``True`` is accepted as ``"vector"`` for
+    backward compatibility.  ``None`` (default) follows the
+    ``REPRO_FAST`` environment knob.  Every strategy produces
+    byte-identical stats.
     """
     i_skip, i_begin, i_end = _resolve_window(trace, begin, end,
                                              fast_forward)
@@ -398,6 +408,25 @@ def replay_window(
     return _replay_resolved(trace, i_skip, i_begin, i_end, config,
                             program, prewarm_code,
                             _resolve_fast_mode(fast))
+
+
+def _replay_solver(
+    trace: RecordedTrace,
+    begin: MarkerPoint,
+    end: MarkerPoint,
+    config: Optional[TimingConfig] = None,
+    fast_forward: Optional[MarkerPoint] = None,
+    program: Optional[Program] = None,
+    prewarm_code: bool = True,
+) -> WindowResult:
+    """:func:`replay_window` on the vector kernel with admission's cost
+    check skipped (private: the golden/fuzz suites and ``repro.fuzz``
+    use it so the solver keeps seeing the dense windows production
+    routes to the loop kernel)."""
+    return _replay_resolved(trace,
+                            *_resolve_window(trace, begin, end,
+                                             fast_forward),
+                            config, program, prewarm_code, "solver")
 
 
 def replay_window_batch(
@@ -419,13 +448,26 @@ def replay_window_batch(
     the amortisation.  After the call, :func:`consume_replay_info`
     reports the aggregate throughput of the whole batch.
     """
+    return _replay_batch(trace, windows, program, prewarm_code,
+                         _resolve_fast_mode(fast))
+
+
+def _replay_batch(
+    trace: RecordedTrace,
+    windows: Sequence[Dict[str, object]],
+    program: Optional[Program],
+    prewarm_code: bool,
+    mode: str,
+) -> List[WindowResult]:
+    """:func:`replay_window_batch` under a resolved kernel mode
+    (``"solver"`` is the private entry of :func:`_replay_solver`)."""
     if prewarm_code and program is None:
         raise ValueError("prewarm_code requires the program image")
-    mode = _resolve_fast_mode(fast)
     results: List[WindowResult] = []
     total_records = 0
     total_elapsed = 0.0
-    kernels = set()
+    window_kernels: List[object] = []
+    window_routes: List[object] = []
     info_fields: Dict[str, object] = {}
     for window in windows:
         begin = window["begin"]
@@ -441,16 +483,21 @@ def replay_window_batch(
         total_elapsed += time.perf_counter() - started
         info = consume_replay_info() or {}
         total_records += int(info.get("replay_records") or 0)
-        kernels.add(str(info.get("timing_kernel")))
+        window_kernels.append(info.get("timing_kernel"))
+        window_routes.append(info.get("timing_route"))
         for key, value in info.items():
             if key.startswith("validation"):
                 info_fields[key] = value
+    kernels = {str(kernel) for kernel in window_kernels}
     info_fields["timing_path"] = ("golden" if kernels == {"golden"}
                                   else "fast")
     info_fields["timing_kernel"] = ("+".join(sorted(kernels))
                                     if len(kernels) > 1
                                     else next(iter(kernels), "vector"))
     info_fields["batch_windows"] = len(results)
+    # Per-member verdicts, so every window of a batch stays attributable.
+    info_fields["window_kernels"] = window_kernels
+    info_fields["window_routes"] = window_routes
     global _last_replay_info
     _last_replay_info = {
         **info_fields,

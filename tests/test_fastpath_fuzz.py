@@ -21,7 +21,12 @@ from repro.core.brr import BranchOnRandomUnit
 from repro.core.lfsr import Lfsr
 from repro.isa.asm import assemble
 from repro.timing.config import NAIVE_BRR_CONFIG, PAPER_CONFIG, TimingConfig
-from repro.timing.runner import record_window, replay_window, time_window
+from repro.timing.runner import (
+    _replay_solver,
+    record_window,
+    replay_window,
+    time_window,
+)
 
 #: A tiny machine: 8-set L1s, 32-set L2, 16-entry BTB, 2-entry RAS,
 #: 8-entry ROB and 4 rename registers — every structural hazard the
@@ -147,25 +152,35 @@ def _brr_unit(seed: int) -> BranchOnRandomUnit:
                                    or 1))
 
 
-#: Both fast kernels answer to the same oracle; the vector kernel
-#: delegates windows outside its exactness envelope to the loop kernel.
+#: Both fast kernels answer to the same oracle.  The ``vector`` cases
+#: enter past admission's cost check, so these dense windows — which
+#: production routes straight to the loop kernel — reach the solver.
 KERNELS = ("loop", "vector")
+
+
+def _replay(kernel, trace, **kwargs):
+    if kernel == "vector":
+        return _replay_solver(trace, **kwargs)
+    return replay_window(trace, fast=kernel, **kwargs)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("name,config", CONFIGS, ids=[c[0] for c in CONFIGS])
-def test_fastpath_matches_golden(seed, name, config, kernel):
+def test_fastpath_matches_golden(seed, name, config, kernel, solver_calls):
     program = assemble(fuzz_program(seed))
     trace = record_window(program, end=(3, 1), brr_unit=_brr_unit(seed))
     fast_forward = (1, 1) if seed % 2 else None
     golden = replay_window(trace, begin=(2, 1), end=(3, 1), config=config,
                            fast_forward=fast_forward, program=program,
                            fast="off")
-    fast = replay_window(trace, begin=(2, 1), end=(3, 1), config=config,
-                         fast_forward=fast_forward, program=program,
-                         fast=kernel)
+    fast = _replay(kernel, trace, begin=(2, 1), end=(3, 1), config=config,
+                   fast_forward=fast_forward, program=program)
     assert fast.stats == golden.stats
+    # Every vector case but the shared-LFSR ones (an exactness limit
+    # of admission) must exercise the solver: 18 of 24.
+    assert bool(solver_calls) == (kernel == "vector"
+                                  and not config.brr_shared_lfsr)
     assert fast.total_steps == golden.total_steps
     # And both equal the lock-step reference (fresh machine).
     lockstep = time_window(program, begin=(2, 1), end=(3, 1), config=config,
@@ -176,17 +191,18 @@ def test_fastpath_matches_golden(seed, name, config, kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("seed", [17, 23])
-def test_fastpath_matches_golden_without_prewarm(seed, kernel):
+def test_fastpath_matches_golden_without_prewarm(seed, kernel,
+                                                  solver_calls):
     program = assemble(fuzz_program(seed, blocks=24))
     trace = record_window(program, end=(3, 1), brr_unit=_brr_unit(seed))
     for config in (PAPER_CONFIG, STRESS_CONFIG):
         golden = replay_window(trace, begin=(2, 1), end=(3, 1),
                                config=config, program=program,
                                prewarm_code=False, fast="off")
-        fast = replay_window(trace, begin=(2, 1), end=(3, 1),
-                             config=config, program=program,
-                             prewarm_code=False, fast=kernel)
+        fast = _replay(kernel, trace, begin=(2, 1), end=(3, 1),
+                       config=config, program=program, prewarm_code=False)
         assert fast.stats == golden.stats
+    assert len(solver_calls) == (2 if kernel == "vector" else 0)
 
 
 def test_zero_length_measured_window():

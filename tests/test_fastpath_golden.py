@@ -31,6 +31,8 @@ from repro.timing.fastpath import (
     set_fastpath_override,
 )
 from repro.timing.runner import (
+    _replay_batch,
+    _replay_solver,
     consume_replay_info,
     record_window,
     replay_window,
@@ -39,10 +41,17 @@ from repro.timing.runner import (
 
 SCORECARD = scorecard_bench_specs()
 
-#: Both fast kernels must meet the same byte-identity contract; the
-#: vector kernel may delegate windows outside its envelope to the loop
-#: kernel, which keeps equivalence trivially.
+#: Both fast kernels must meet the same byte-identity contract.  The
+#: ``vector`` cases enter past admission's cost check, so the dense
+#: Figure-13 windows production routes to the loop kernel still reach
+#: the solver (which may then delegate outside its envelope).
 KERNELS = ("loop", "vector")
+
+
+def _replay(kernel, trace, *args, **kwargs):
+    if kernel == "vector":
+        return _replay_solver(trace, *args, **kwargs)
+    return replay_window(trace, *args, fast=kernel, **kwargs)
 
 
 def _record(spec):
@@ -62,22 +71,24 @@ class TestScorecardEquivalence:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("spec", SCORECARD,
                              ids=[spec.label() for spec in SCORECARD])
-    def test_fastpath_byte_identical(self, spec, kernel):
+    def test_fastpath_byte_identical(self, spec, kernel, solver_calls):
         materials, trace = _record(spec)
         golden = replay_window(trace, materials["begin"], materials["end"],
                                config=_config(spec),
                                fast_forward=materials["fast_forward"],
                                program=materials["program"], fast="off")
         assert consume_replay_info()["timing_path"] == "golden"
-        fast = replay_window(trace, materials["begin"], materials["end"],
-                             config=_config(spec),
-                             fast_forward=materials["fast_forward"],
-                             program=materials["program"], fast=kernel)
+        fast = _replay(kernel, trace, materials["begin"], materials["end"],
+                       config=_config(spec),
+                       fast_forward=materials["fast_forward"],
+                       program=materials["program"])
         info = consume_replay_info()
         assert info["timing_path"] == "fast"
         assert info["replay_records_per_s"] > 0
         assert fast.stats == golden.stats
         assert fast.total_steps == golden.total_steps
+        # Every scorecard window reaches the solver on the vector case.
+        assert len(solver_calls) == (kernel == "vector")
 
 
 class TestBatchedReplay:
@@ -92,16 +103,17 @@ class TestBatchedReplay:
                                       interval=64)
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_batch_matches_sequential(self, kernel):
+    def test_batch_matches_sequential(self, kernel, solver_calls):
         spec = self._spec()
         materials, trace = _record(spec)
         windows = [{"begin": materials["begin"], "end": materials["end"],
                     "config": config,
                     "fast_forward": materials["fast_forward"]}
                    for config in self.CONFIGS]
-        batched = replay_window_batch(trace, windows,
-                                      program=materials["program"],
-                                      fast=kernel)
+        batched = _replay_batch(trace, windows, materials["program"], True,
+                                "solver" if kernel == "vector" else kernel)
+        assert len(solver_calls) == (len(windows) if kernel == "vector"
+                                     else 0)
         info = consume_replay_info()
         assert info["batch_windows"] == len(self.CONFIGS)
         assert info["timing_path"] == "fast"
