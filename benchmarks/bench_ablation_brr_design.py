@@ -14,7 +14,8 @@ from _shared import MICRO_CHARS, run_once, report
 from repro.core.brr import BranchOnRandomUnit
 from repro.timing.config import PAPER_CONFIG
 from repro.timing.runner import overhead_percent, time_window
-from repro.workloads.microbench import END_MARKER, WARM_MARKER, build_microbench
+from repro.workloads import get_workload
+from repro.workloads.microbench import END_MARKER, WARM_MARKER
 
 ABLATIONS = (
     ("paper design", {}),
@@ -31,14 +32,15 @@ ABLATIONS = (
 
 def run_ablation(interval):
     n_chars = min(MICRO_CHARS, 4000)
-    base_bench = build_microbench(n_chars, variant="none", seed=1)
+    base_bench = get_workload("microbench", n_chars=n_chars, variant="none",
+                              seed=1).raw
     base = time_window(base_bench.program, begin=(WARM_MARKER, 1),
                        end=(END_MARKER, 1), setup=base_bench.load_text)
     rows = []
     for label, overrides in ABLATIONS:
-        bench = build_microbench(n_chars, variant="no-dup", kind="brr",
-                                 interval=interval, include_payload=False,
-                                 seed=1)
+        bench = get_workload("microbench", n_chars=n_chars, variant="no-dup",
+                             kind="brr", interval=interval,
+                             include_payload=False, seed=1).raw
         result = time_window(
             bench.program, begin=(WARM_MARKER, 1), end=(END_MARKER, 1),
             setup=bench.load_text, brr_unit=BranchOnRandomUnit(),

@@ -18,13 +18,13 @@ Run:  python examples/adaptive_and_verified.py
 from repro.core import BranchOnRandomUnit, Lfsr
 from repro.sampling import ConvergentController
 from repro.timing import CoSimulator
-from repro.workloads import build_microbench
+from repro.workloads import get_workload
 from repro.workloads.text import class_counts
 
 
 def demo_cosim() -> None:
-    bench = build_microbench(1500, variant="no-dup", kind="brr",
-                             interval=16, seed=2)
+    bench = get_workload("microbench", n_chars=1500, variant="no-dup",
+                         kind="brr", interval=16, seed=2).raw
     cosim = CoSimulator(bench.program,
                         brr_unit=BranchOnRandomUnit(Lfsr(20, seed=0xFACE)))
     cosim.setup(bench.load_text)
@@ -40,8 +40,8 @@ def demo_cosim() -> None:
 
 
 def demo_convergent() -> None:
-    bench = build_microbench(24_000, variant="no-dup", kind="brr",
-                             interval=1024, seed=4)
+    bench = get_workload("microbench", n_chars=24_000, variant="no-dup",
+                         kind="brr", interval=1024, seed=4).raw
     machine = bench.make_machine(
         brr_unit=BranchOnRandomUnit(Lfsr(20, seed=0x2468)))
     controller = ConvergentController(

@@ -11,7 +11,7 @@ Run:  python examples/microbench_overhead.py   (~30 seconds)
 
 from repro.core import BranchOnRandomUnit, Lfsr
 from repro.timing import cycles_per_site, overhead_percent, time_window
-from repro.workloads import build_microbench
+from repro.workloads import get_workload
 from repro.workloads.microbench import END_MARKER, WARM_MARKER
 
 N_CHARS = 3000
@@ -29,14 +29,16 @@ def timed(bench, unit=None):
 
 
 def main() -> None:
-    base_bench = build_microbench(N_CHARS, variant="none", seed=7)
+    base_bench = get_workload("microbench", n_chars=N_CHARS, variant="none",
+                              seed=7).raw
     base = timed(base_bench)
     sites = base_bench.measured_sites
     print(f"baseline: {base.cycles} cycles over {base.instructions} "
           f"instructions ({sites} instrumentation sites); "
           f"branch accuracy {base.stats.branch_accuracy:.3f}")
 
-    full_bench = build_microbench(N_CHARS, variant="full", seed=7)
+    full_bench = get_workload("microbench", n_chars=N_CHARS, variant="full",
+                              seed=7).raw
     full = timed(full_bench)
     print(f"full instrumentation: "
           f"+{overhead_percent(base.cycles, full.cycles):.1f}% "
@@ -49,10 +51,9 @@ def main() -> None:
         for dup in ("no-dup", "full-dup"):
             cells = []
             for interval in INTERVALS:
-                bench = build_microbench(
-                    N_CHARS, variant=dup, kind=kind, interval=interval,
-                    include_payload=False, seed=7,
-                )
+                bench = get_workload("microbench", n_chars=N_CHARS,
+                                     variant=dup, kind=kind, interval=interval,
+                                     include_payload=False, seed=7).raw
                 unit = (BranchOnRandomUnit(Lfsr(20, seed=interval * 3 + 1))
                         if kind == "brr" else None)
                 result = timed(bench, unit)

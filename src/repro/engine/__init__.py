@@ -37,7 +37,6 @@ from .core import (
     PlanRun,
     WindowFailure,
     WindowTimeout,
-    default_jobs,
     get_engine,
     is_failure,
     run_population,
@@ -69,7 +68,6 @@ from .tracestore import (
     default_trace_dir,
     functional_key,
     trace_enabled_by_env,
-    trace_handles_from_env,
 )
 
 __all__ = [
@@ -106,7 +104,6 @@ __all__ = [
     "WindowTimeout",
     "InjectedWorkerFault",
     "should_inject",
-    "default_jobs",
     "get_engine",
     "is_failure",
     "run_population",
@@ -120,5 +117,4 @@ __all__ = [
     "default_trace_dir",
     "functional_key",
     "trace_enabled_by_env",
-    "trace_handles_from_env",
 ]

@@ -9,9 +9,10 @@ parameter — see ``docs/engine.md``); the layout is byte-for-byte what
 the pre-refactor cache wrote.  Above the disk sits an in-process LRU
 of canonical payload bytes (bounded by entries and bytes —
 ``REPRO_MEM_ENTRIES`` / ``REPRO_MEM_BYTES``), filled on verified
-reads; below it an optional shared backend (``REPRO_STORE_BACKEND``)
-lets many replicas share one corpus — a local miss falls through to
-the backend, and every ``put`` publishes back.  Entries are written
+reads; below it an optional shared backend (a spec such as
+``fs:<dir>``, ``EngineConfig.store_backend``) lets many replicas share
+one corpus — a local miss falls through to the backend, and every
+``put`` publishes back.  Entries are written
 atomically (temp file + ``os.replace``), so concurrent workers and
 concurrent processes sharing one cache directory never tear each
 other.
@@ -40,11 +41,8 @@ from ..store import (
     Backend,
     Codec,
     DiskTier,
-    IntegrityError,  # noqa: F401 - historical import surface
     MemoryTier,
     TieredStore,
-    backend_from_env,
-    integrity_policy_from_env,
     make_backend,
     maybe_wrap_breaker,
     memory_bytes_from_env,
@@ -52,10 +50,6 @@ from ..store import (
     payload_digest,
 )
 from .spec import SCHEMA_VERSION, WindowSpec
-
-#: Constructor default meaning "resolve ``REPRO_STORE_BACKEND``".
-AUTO_BACKEND = "auto"
-
 
 def default_cache_dir() -> pathlib.Path:
     env = os.environ.get("REPRO_CACHE_DIR")
@@ -70,20 +64,15 @@ def cache_enabled_by_env() -> bool:
 
 def resolve_backend(backend: Union[Backend, str, None],
                     namespace: str,
-                    breaker: Optional[bool] = None) -> Optional[Backend]:
+                    breaker: bool = True) -> Optional[Backend]:
     """The shared-backend constructor argument, resolved: a live
     :class:`Backend` (used as-is — callers wrap their own), a spec
-    string, :data:`AUTO_BACKEND` (read ``REPRO_STORE_BACKEND``), or
-    ``None`` (no shared tier).  Spec-named backends are wrapped in a
-    :class:`~repro.store.backend.CircuitBreakerBackend` per ``breaker``
-    (``None`` resolves ``REPRO_BREAKER``, default on)."""
+    string, or ``None`` (no shared tier).  Spec-named backends are
+    wrapped in a :class:`~repro.store.backend.CircuitBreakerBackend`
+    unless ``breaker`` is false."""
     if backend is None or isinstance(backend, Backend):
         return backend
-    if backend == AUTO_BACKEND:
-        resolved = backend_from_env(namespace)
-    else:
-        resolved = make_backend(backend, namespace)
-    return maybe_wrap_breaker(resolved, breaker)
+    return maybe_wrap_breaker(make_backend(backend, namespace), breaker)
 
 
 class _ResultCodec(Codec):
@@ -139,11 +128,11 @@ class ResultCache:
 
     def __init__(self, root: Optional[pathlib.Path] = None,
                  enabled: bool = True,
-                 policy: Optional[str] = None,
+                 policy: str = "repair",
                  memory_entries: Optional[int] = None,
                  memory_bytes: Optional[int] = None,
-                 backend: Union[Backend, str, None] = AUTO_BACKEND,
-                 breaker: Optional[bool] = None) -> None:
+                 backend: Union[Backend, str, None] = None,
+                 breaker: bool = True) -> None:
         self.root = pathlib.Path(root) if root else default_cache_dir()
         self.enabled = enabled
         codec = _ResultCodec()
@@ -156,8 +145,7 @@ class ResultCache:
                 max_bytes=(memory_bytes if memory_bytes is not None
                            else memory_bytes_from_env())),
             backend=resolve_backend(backend, codec.namespace, breaker),
-            policy=(policy if policy is not None
-                    else integrity_policy_from_env()),
+            policy=policy,
             promote_on_put=False,
             durable=True,
         )

@@ -2,31 +2,14 @@
 
 :class:`EngineConfig` consolidates every scalar knob of the
 :class:`~repro.engine.core.ExperimentEngine` — worker count, replay
-fast-path, per-window timeout, retry budget and backoff, failure
-policy, fault-injection rate, and the resume source.  It is frozen,
-JSON round-trippable (``to_dict``/``from_dict``), and every
-``REPRO_*`` environment variable the engine honours is resolved in
-exactly one function, :meth:`EngineConfig.from_env`:
-
-==========================  ===========================================
-``REPRO_JOBS``              worker processes per window batch
-``REPRO_FAST``              replay kernel: ``vector`` | ``loop`` | ``off``
-``REPRO_TRACE_PAGES``       shared-memory trace pages for pool workers
-``REPRO_TIMEOUT``           per-window timeout in seconds (pool only)
-``REPRO_RETRIES``           retry budget per window (default 3)
-``REPRO_BACKOFF``           base backoff seconds (default 0.05)
-``REPRO_FAILURE_POLICY``    ``raise`` | ``retry`` | ``skip``
-``REPRO_FAULT_RATE``        deterministic fault-injection probability
-``REPRO_INTEGRITY``         store policy: ``verify`` | ``repair`` | ``trust``
-``REPRO_VALIDATE``          golden cross-check every n-th fast replay
-``REPRO_VALIDATE_POLICY``   divergence: ``warn`` | ``fallback`` | ``raise``
-``REPRO_STORE_BACKEND``     shared store tier (``fs://<dir>``; empty = off)
-``REPRO_BREAKER``           circuit breaker around the shared backend
-                            (default on; ``REPRO_BREAKER_*`` tune it —
-                            see ``docs/serve.md``)
-``REPRO_TRACE_HANDLES``     open trace-handle LRU bound (default 4)
-``REPRO_SEED``              uniform experiment seed (workloads + sampling)
-==========================  ===========================================
+kernel, per-window timeout, retry budget and backoff, failure policy,
+fault-injection rate, store policy and shared tier, and the resume
+source.  It is frozen, JSON round-trippable (``to_dict``/``from_dict``)
+and every field has a concrete library default, so a constructed
+config never consults the environment.  :meth:`EngineConfig.from_env`
+is the one function that reads the ``REPRO_*`` engine variables; a
+malformed value raises ``ValueError`` naming the variable.  The table
+of variables, flags and defaults lives in ``docs/engine.md``.
 
 Live collaborators (the result cache, trace store and run recorder)
 stay constructor injection on the engine itself — they are objects,
@@ -37,55 +20,96 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from ..store.backend import backend_spec_from_env
-from ..timing.fastpath import normalize_fast_mode
-from .integrity import (
-    INTEGRITY_POLICIES,
-    VALIDATE_POLICIES,
-    integrity_policy_from_env,
-    validate_every_from_env,
-    validate_policy_from_env,
-)
+from ..store.backend import DISABLED_SPECS
+from ..store.integrity import INTEGRITY_POLICIES
+from ..timing.fastpath import FAST_MODES
+from .integrity import VALIDATE_POLICIES
+from .tracestore import DEFAULT_TRACE_HANDLES
 
 #: Allowed values of :attr:`EngineConfig.failure_policy`.
 FAILURE_POLICIES = ("raise", "retry", "skip")
 
-
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        return None
+_FLAG_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                "0": False, "false": False, "no": False, "off": False}
 
 
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if not raw:
-        return None
+def _int(name: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        return None
+        raise ValueError(f"{name}={raw!r}: expected an integer") from None
+
+
+def _float(name: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r}: expected a number") from None
+
+
+def _flag(name: str, raw: str) -> bool:
+    try:
+        return _FLAG_VALUES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"{name}={raw!r}: expected one of "
+                         f"{tuple(_FLAG_VALUES)}") from None
+
+
+def _choice(choices: Tuple[str, ...]) -> Callable[[str, str], str]:
+    def parse(name: str, raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"{name}={raw!r}: expected one of {choices}")
+        return raw
+    return parse
+
+
+def _positive_or_none(parse: Callable[[str, str], Any]):
+    def wrapped(name: str, raw: str):
+        value = parse(name, raw)
+        return value if value > 0 else None
+    return wrapped
+
+
+#: ``(field, variable, parser)`` for every environment-backed field;
+#: parsers clamp out-of-range numbers and raise on malformed text.
+_ENV_FIELDS: Tuple[Tuple[str, str, Callable[[str, str], Any]], ...] = (
+    ("jobs", "REPRO_JOBS", lambda n, r: max(1, _int(n, r))),
+    ("fast", "REPRO_FAST", _choice(FAST_MODES)),
+    ("trace_pages", "REPRO_TRACE_PAGES", _flag),
+    ("timeout", "REPRO_TIMEOUT", _positive_or_none(_float)),
+    ("retries", "REPRO_RETRIES", lambda n, r: max(0, _int(n, r))),
+    ("backoff", "REPRO_BACKOFF", lambda n, r: max(0.0, _float(n, r))),
+    ("failure_policy", "REPRO_FAILURE_POLICY", _choice(FAILURE_POLICIES)),
+    ("fault_rate", "REPRO_FAULT_RATE",
+     lambda n, r: min(max(_float(n, r), 0.0), 0.999999)),
+    ("integrity", "REPRO_INTEGRITY", _choice(INTEGRITY_POLICIES)),
+    ("validate_every", "REPRO_VALIDATE", _positive_or_none(_int)),
+    ("validate_policy", "REPRO_VALIDATE_POLICY",
+     _choice(VALIDATE_POLICIES)),
+    ("store_backend", "REPRO_STORE_BACKEND",
+     lambda n, r: None if r.lower() in DISABLED_SPECS else r),
+    ("breaker", "REPRO_BREAKER", _flag),
+    ("trace_handles", "REPRO_TRACE_HANDLES", lambda n, r: max(1, _int(n, r))),
+    ("seed", "REPRO_SEED", _int),
+)
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Every scalar knob of the experiment engine, in one place."""
 
-    #: Worker processes per window batch; ``None`` means the library
-    #: default (1 = the deterministic serial backend).
+    #: Worker processes per window batch; ``None`` means the caller's
+    #: default (the library runs serially, the CLI uses every core).
     jobs: Optional[int] = None
     #: Replay kernel selection: ``"vector"`` (fixpoint span kernel),
-    #: ``"loop"`` (per-record columnar kernel), ``"off"`` (golden
-    #: model), or the historical booleans (``True`` = ``"vector"``).
-    #: ``None`` resolves ``REPRO_FAST`` at engine construction.
-    fast: Union[None, bool, str] = None
+    #: ``"loop"`` (per-record columnar kernel) or ``"off"`` (golden
+    #: model).  The boolean spellings are deprecated and mapped to
+    #: ``"vector"``/``"off"``.
+    fast: str = "vector"
     #: Per-window wall-clock timeout in seconds for pool execution
     #: (``None`` = no timeout).  A window that exceeds it is treated as
     #: a transient failure: the worker is abandoned, the pool rebuilt,
@@ -122,13 +146,11 @@ class EngineConfig:
     #: Wrap the shared backend in a
     #: :class:`~repro.store.backend.CircuitBreakerBackend` so a flaky
     #: or hung backend degrades the stores to local-tiers-only instead
-    #: of stalling every request.  ``None`` resolves ``REPRO_BREAKER``
-    #: (default on); the breaker's thresholds come from
+    #: of stalling every request.  The breaker's thresholds come from
     #: ``REPRO_BREAKER_*`` (see ``docs/serve.md``).
-    breaker: Optional[bool] = None
-    #: Bound of the trace store's open-handle LRU; ``None`` means the
-    #: library default (:data:`repro.engine.tracestore.DEFAULT_TRACE_HANDLES`).
-    trace_handles: Optional[int] = None
+    breaker: bool = True
+    #: Bound of the trace store's open-handle LRU.
+    trace_handles: int = DEFAULT_TRACE_HANDLES
     #: Uniform experiment seed (``--seed`` / ``REPRO_SEED``): the
     #: default workload seed for seeded figures *and* the default
     #: :class:`~repro.stats.plan.SamplingPlan` selection seed.  ``None``
@@ -136,12 +158,20 @@ class EngineConfig:
     seed: Optional[int] = None
     #: Publish decoded trace columns as ``multiprocessing``
     #: shared-memory pages for pool workers (zero-copy attach instead
-    #: of a per-worker decode); ``None`` resolves ``REPRO_TRACE_PAGES``
-    #: (default on) at engine construction.  Serial runs ignore it.
-    trace_pages: Optional[bool] = None
+    #: of a per-worker decode).  Serial runs ignore it.
+    trace_pages: bool = True
 
     def __post_init__(self) -> None:
-        normalize_fast_mode(self.fast)  # raises on a bad mode name
+        if isinstance(self.fast, bool):
+            warnings.warn(
+                "EngineConfig(fast=True/False) is deprecated; pass "
+                "fast='vector' or fast='off'",
+                DeprecationWarning, stacklevel=3)
+            object.__setattr__(self, "fast",
+                               "vector" if self.fast else "off")
+        if self.fast not in FAST_MODES:
+            raise ValueError(
+                f"fast must be one of {FAST_MODES}, got {self.fast!r}")
         if self.failure_policy not in FAILURE_POLICIES:
             raise ValueError(
                 f"failure_policy must be one of {FAILURE_POLICIES}, "
@@ -166,7 +196,7 @@ class EngineConfig:
             raise ValueError(
                 f"validate_policy must be one of {VALIDATE_POLICIES}, "
                 f"got {self.validate_policy!r}")
-        if self.trace_handles is not None and self.trace_handles < 1:
+        if self.trace_handles < 1:
             raise ValueError(
                 f"trace_handles must be >= 1, got {self.trace_handles}")
 
@@ -174,51 +204,16 @@ class EngineConfig:
 
     @classmethod
     def from_env(cls, **overrides: Any) -> "EngineConfig":
-        """Resolve every ``REPRO_*`` engine knob; ``overrides`` win."""
+        """Resolve every ``REPRO_*`` engine variable; ``overrides`` win.
+
+        Unset or empty variables keep the field default; a value that
+        does not parse raises ``ValueError`` naming the variable.
+        """
         values: Dict[str, Any] = {}
-        jobs = _env_int("REPRO_JOBS")
-        if jobs is not None:
-            values["jobs"] = max(1, jobs)
-        fast = os.environ.get("REPRO_FAST")
-        if fast is not None:
-            try:
-                values["fast"] = normalize_fast_mode(fast)
-            except ValueError:
-                pass  # unknown mode strings keep the library default
-        pages = os.environ.get("REPRO_TRACE_PAGES")
-        if pages is not None:
-            values["trace_pages"] = pages not in ("0", "false", "no")
-        timeout = _env_float("REPRO_TIMEOUT")
-        if timeout is not None and timeout > 0:
-            values["timeout"] = timeout
-        retries = _env_int("REPRO_RETRIES")
-        if retries is not None:
-            values["retries"] = max(0, retries)
-        backoff = _env_float("REPRO_BACKOFF")
-        if backoff is not None:
-            values["backoff"] = max(0.0, backoff)
-        policy = os.environ.get("REPRO_FAILURE_POLICY")
-        if policy in FAILURE_POLICIES:
-            values["failure_policy"] = policy
-        rate = _env_float("REPRO_FAULT_RATE")
-        if rate is not None:
-            values["fault_rate"] = min(max(rate, 0.0), 0.999999)
-        values["integrity"] = integrity_policy_from_env()
-        validate = validate_every_from_env()
-        if validate is not None:
-            values["validate_every"] = validate
-        values["validate_policy"] = validate_policy_from_env()
-        values["store_backend"] = backend_spec_from_env()
-        breaker = os.environ.get("REPRO_BREAKER")
-        if breaker is not None:
-            values["breaker"] = breaker.strip().lower() \
-                not in ("0", "false", "no", "off")
-        handles = _env_int("REPRO_TRACE_HANDLES")
-        if handles is not None:
-            values["trace_handles"] = max(1, handles)
-        seed = _env_int("REPRO_SEED")
-        if seed is not None:
-            values["seed"] = seed
+        for field, name, parse in _ENV_FIELDS:
+            raw = os.environ.get(name, "").strip()
+            if raw:
+                values[field] = parse(name, raw)
         values.update(overrides)
         return cls(**values)
 

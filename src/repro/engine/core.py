@@ -40,7 +40,6 @@ import dataclasses
 import os
 import pickle
 import time
-import warnings
 from collections import deque
 from concurrent import futures
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -56,16 +55,12 @@ from typing import (
     Tuple,
 )
 
-from ..timing.fastpath import (
-    fastpath_mode,
-    fastpath_override,
-    normalize_fast_mode,
-)
+from ..timing.fastpath import fastpath_override
 from . import shm_pages
 from .artifacts import RunRecorder, WindowRecord, completed_keys, read_run_log
 from .cache import ResultCache, cache_enabled_by_env
 from .config import EngineConfig
-from .faults import InjectedWorkerFault, fault_mode_from_env, maybe_inject
+from .faults import InjectedWorkerFault, maybe_inject
 from .integrity import ValidationSettings, validation_override
 from .spec import WindowSpec
 from .tracestore import (
@@ -76,17 +71,6 @@ from .tracestore import (
     functional_key,
     trace_enabled_by_env,
 )
-
-
-def default_jobs() -> int:
-    """``REPRO_JOBS`` (default 1: the deterministic serial backend)."""
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 class WindowTimeout(TimeoutError):
@@ -234,22 +218,33 @@ def _execute(spec: WindowSpec) -> Dict[str, Any]:
     return run_window(spec.kind, spec.params_dict())
 
 
-def _pool_execute(item: Tuple[int, Dict[str, Any], Tuple, int]):
+@dataclass(frozen=True)
+class _WorkerRun:
+    """What a pool worker needs besides the spec: the parent engine's
+    resolved :meth:`EngineConfig.to_dict` plus the per-run values that
+    are not configuration."""
+
+    config: Dict[str, Any]
+    trace_root: str
+    trace_enabled: bool
+    #: ``{functional key: shared-memory segment name}`` or ``None``.
+    pages: Optional[Dict[str, str]]
+
+
+def _pool_execute(item: Tuple[int, Dict[str, Any], _WorkerRun, int]):
     """Top-level worker entry (must be picklable)."""
-    index, spec_dict, conf, attempt = item
-    (trace_root, trace_enabled, fast, fault_rate, fault_mode,
-     integrity, validate_every, validate_policy,
-     trace_handles, store_backend, trace_pages, breaker) = conf
+    index, spec_dict, run, attempt = item
+    cfg = EngineConfig.from_dict(run.config)
     spec = WindowSpec.from_dict(spec_dict)
     started = time.perf_counter()
-    maybe_inject(spec.cache_key, attempt, fault_rate, fault_mode,
-                 in_worker=True)
-    store = TraceStore(trace_root, enabled=trace_enabled, policy=integrity,
-                       handles=trace_handles, backend=store_backend,
-                       pages=trace_pages, breaker=breaker)
-    validation = ValidationSettings(every=validate_every,
-                                    policy=validate_policy)
-    with fastpath_override(fast), active_store(store), \
+    maybe_inject(spec.cache_key, attempt, cfg.fault_rate, in_worker=True)
+    store = TraceStore(run.trace_root, enabled=run.trace_enabled,
+                       policy=cfg.integrity, handles=cfg.trace_handles,
+                       backend=cfg.store_backend, pages=run.pages,
+                       breaker=cfg.breaker)
+    validation = ValidationSettings(every=cfg.validate_every,
+                                    policy=cfg.validate_policy)
+    with fastpath_override(cfg.fast), active_store(store), \
             validation_override(validation):
         payload = _execute(spec)
         trace_info = consume_trace_info()
@@ -260,43 +255,29 @@ def _pool_execute(item: Tuple[int, Dict[str, Any], Tuple, int]):
 class ExperimentEngine:
     """Shared execution backend for every experiment in the repo.
 
-    Configuration is one :class:`~repro.engine.config.EngineConfig`;
-    the live collaborators (cache, recorder, trace store) and the
-    ``executor_factory`` seam stay constructor injection.  The legacy
-    scalar kwargs (``jobs=``, ``fast=``) still work but emit a
-    :class:`DeprecationWarning`.
+    Configuration is one :class:`~repro.engine.config.EngineConfig`
+    (``EngineConfig.from_env()`` when omitted); the live collaborators
+    (cache, recorder, trace store) and the ``executor_factory`` seam
+    stay constructor injection.  Every argument is keyword-only.
     """
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
+        *,
+        config: Optional[EngineConfig] = None,
         cache: Optional[ResultCache] = None,
         recorder: Optional[RunRecorder] = None,
         trace_store: Optional[TraceStore] = None,
-        fast: Optional[bool] = None,
-        *,
-        config: Optional[EngineConfig] = None,
         resume_from: Optional[str] = None,
         executor_factory: Optional[Callable[[int], Any]] = None,
     ) -> None:
         if config is None:
             config = EngineConfig.from_env()
-        legacy = {}
-        if jobs is not None:
-            legacy["jobs"] = max(1, int(jobs))
-        if fast is not None:
-            legacy["fast"] = fast if isinstance(fast, str) else bool(fast)
-        if legacy:
-            warnings.warn(
-                "ExperimentEngine(jobs=..., fast=...) is deprecated; pass "
-                "config=EngineConfig(jobs=..., fast=...) instead",
-                DeprecationWarning, stacklevel=2)
-            config = config.with_overrides(**legacy)
         if resume_from is not None:
             config = config.with_overrides(resume_from=str(resume_from))
         self.config = config
-        self.jobs = (max(1, config.jobs) if config.jobs is not None
-                     else default_jobs())
+        #: ``config.jobs``, or the library default of 1 (serial).
+        self.jobs = max(1, config.jobs or 1)
         if cache is None:
             cache = ResultCache(enabled=cache_enabled_by_env(),
                                 policy=config.integrity,
@@ -316,16 +297,8 @@ class ExperimentEngine:
         self._validation = ValidationSettings(every=config.validate_every,
                                               policy=config.validate_policy)
         self.recorder = recorder or RunRecorder()
-        # Resolved once (to a kernel-mode name: "vector" | "loop" |
-        # "off") so pool workers follow the parent's REPRO_FAST /
-        # REPRO_FAULT_MODE settings instead of re-reading their own
-        # environment.
-        self.fast = fastpath_mode() if config.fast is None \
-            else normalize_fast_mode(config.fast)
-        self._trace_pages = (
-            shm_pages.pages_enabled_by_env() if config.trace_pages is None
-            else bool(config.trace_pages)) and shm_pages.pages_supported()
-        self._fault_mode = fault_mode_from_env()
+        self._trace_pages = (config.trace_pages
+                             and shm_pages.pages_supported())
         self._executor_factory = executor_factory
         #: Keys completed by the run being resumed (empty otherwise).
         self.resume_keys: FrozenSet[str] = self._load_resume_keys()
@@ -529,7 +502,7 @@ class ExperimentEngine:
 
     def _run_serial(self, specs: Sequence[WindowSpec], misses: List[int],
                     results: List[Optional[Dict[str, Any]]]) -> None:
-        with fastpath_override(self.fast), \
+        with fastpath_override(self.config.fast), \
                 active_store(self.trace_store), \
                 validation_override(self._validation):
             for members in self._serial_schedule(specs, misses):
@@ -546,8 +519,7 @@ class ExperimentEngine:
             started = time.perf_counter()
             try:
                 maybe_inject(spec.cache_key, attempt,
-                             self.config.fault_rate,
-                             self._fault_mode, in_worker=False)
+                             self.config.fault_rate, in_worker=False)
                 payload = _execute(spec)
             except Exception as exc:
                 consume_trace_info()  # drop partial telemetry
@@ -606,15 +578,16 @@ class ExperimentEngine:
         cfg = self.config
         pages = self._publish_pages(specs, misses)
 
-        def make_conf():
-            return (str(self.trace_store.root), self.trace_store.enabled,
-                    self.fast, cfg.fault_rate, self._fault_mode,
-                    cfg.integrity, cfg.validate_every, cfg.validate_policy,
-                    cfg.trace_handles, cfg.store_backend,
-                    pages.names() if pages is not None else None,
-                    cfg.breaker)
+        config = cfg.to_dict()
 
-        worker_conf = make_conf()
+        def make_run() -> _WorkerRun:
+            return _WorkerRun(config=config,
+                              trace_root=str(self.trace_store.root),
+                              trace_enabled=self.trace_store.enabled,
+                              pages=(pages.names() if pages is not None
+                                     else None))
+
+        worker_run = make_run()
         workers = min(self.jobs, len(misses))
         queue = deque((index, 0) for index in misses)
         inflight: Dict[Any, Tuple[int, int, Optional[float]]] = {}
@@ -624,7 +597,7 @@ class ExperimentEngine:
                 rebuild = False
                 while queue and len(inflight) < workers:
                     index, attempt = queue.popleft()
-                    item = (index, specs[index].to_dict(), worker_conf,
+                    item = (index, specs[index].to_dict(), worker_run,
                             attempt)
                     try:
                         future = pool.submit(_pool_execute, item)
@@ -695,7 +668,7 @@ class ExperimentEngine:
                         pages.unlink_all()
                         pages = self._publish_pages(
                             specs, [index for index, _ in queue])
-                        worker_conf = make_conf()
+                        worker_run = make_run()
                     if queue:
                         pool = self._new_pool(min(workers, len(queue)))
         finally:

@@ -40,19 +40,12 @@ class InjectedWorkerFault(RuntimeError):
     """A deliberately injected, transient window failure."""
 
 
-def fault_rate_from_env() -> float:
-    raw = os.environ.get("REPRO_FAULT_RATE")
-    if not raw:
-        return 0.0
-    try:
-        return min(max(float(raw), 0.0), 0.999999)
-    except ValueError:
-        return 0.0
-
-
 def fault_mode_from_env() -> str:
-    mode = os.environ.get("REPRO_FAULT_MODE", "exc")
-    return mode if mode in FAULT_MODES else "exc"
+    mode = os.environ.get("REPRO_FAULT_MODE") or "exc"
+    if mode not in FAULT_MODES:
+        raise ValueError(
+            f"REPRO_FAULT_MODE={mode!r}: expected one of {FAULT_MODES}")
+    return mode
 
 
 def fault_hang_seconds() -> float:
@@ -72,10 +65,12 @@ def should_inject(key: str, attempt: int, rate: float) -> bool:
 
 
 def maybe_inject(key: str, attempt: int, rate: float,
-                 mode: str = "exc", in_worker: bool = False) -> None:
-    """Fault this attempt iff the deterministic decision says so."""
+                 in_worker: bool = False) -> None:
+    """Fault this attempt iff the deterministic decision says so, in
+    the shape ``REPRO_FAULT_MODE`` names (read only when it fires)."""
     if not should_inject(key, attempt, rate):
         return
+    mode = fault_mode_from_env()
     if mode == "kill" and in_worker:
         os._exit(13)
     if mode == "hang":

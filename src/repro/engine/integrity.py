@@ -50,7 +50,6 @@ from ..store.integrity import (  # noqa: F401 - re-exported surface
     IntegrityCounters,
     IntegrityError,
     check_policy,
-    integrity_policy_from_env,
     payload_digest,
     purge_quarantine,
     quarantine_entry,
@@ -85,22 +84,6 @@ class ValidationSettings:
         return bool(self.every)
 
 
-def validate_every_from_env() -> Optional[int]:
-    raw = os.environ.get("REPRO_VALIDATE")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def validate_policy_from_env() -> str:
-    policy = os.environ.get("REPRO_VALIDATE_POLICY", "fallback")
-    return policy if policy in VALIDATE_POLICIES else "fallback"
-
-
 # The active watchdog travels as module state for the same reason the
 # trace store does (repro.engine.tracestore): replay happens deep
 # inside window runners, possibly in a pool worker, and threading a
@@ -118,12 +101,11 @@ def get_validation_settings() -> ValidationSettings:
 def set_validation_settings(
         settings: Optional[ValidationSettings]) -> ValidationSettings:
     """Install watchdog settings; returns the previous ones.  ``None``
-    re-resolves from the environment (the library default)."""
+    installs the library default (watchdog off)."""
     global _settings, _replay_counter
     previous = _settings
     if settings is None:
-        settings = ValidationSettings(every=validate_every_from_env(),
-                                      policy=validate_policy_from_env())
+        settings = ValidationSettings()
     if settings.policy not in VALIDATE_POLICIES:
         raise ValueError(
             f"validate policy must be one of {VALIDATE_POLICIES}, "

@@ -71,12 +71,6 @@ PAGE_PREFIX = "rtpg"
 _ALIGN = 8
 
 
-def pages_enabled_by_env() -> bool:
-    """``REPRO_TRACE_PAGES`` (default on)."""
-    return os.environ.get("REPRO_TRACE_PAGES", "1") not in ("0", "false",
-                                                            "no")
-
-
 def pages_supported() -> bool:
     """Whether this platform can create shared-memory segments."""
     return _shm is not None

@@ -20,12 +20,12 @@ share one store.  The memory tier holds open
 :class:`~repro.sim.trace_io.RecordedTrace` handles — a config sweep
 replays the same key once per configuration, and sharing the handle
 amortises the one-time columnar decode across all of them.  The handle
-LRU is bounded by ``REPRO_TRACE_HANDLES`` (default
-:data:`DEFAULT_TRACE_HANDLES`) /
-:attr:`~repro.engine.config.EngineConfig.trace_handles`.  An optional
-shared backend (``REPRO_STORE_BACKEND``) sits underneath: a local miss
-fetches the recorded trace from the shared corpus instead of paying a
-functional re-execution.
+LRU is bounded by ``handles`` (default :data:`DEFAULT_TRACE_HANDLES`;
+the engine passes
+:attr:`~repro.engine.config.EngineConfig.trace_handles`).  An optional
+shared backend (``EngineConfig.store_backend``) sits underneath: a
+local miss fetches the recorded trace from the shared corpus instead
+of paying a functional re-execution.
 
 Every trace carries per-section CRC32s (``docs/integrity.md``); what a
 failed verification becomes is the store's ``policy`` — ``verify``
@@ -51,13 +51,10 @@ from ..store import (
     Backend,
     Codec,
     DiskTier,
-    IntegrityError,  # noqa: F401 - historical import surface
     MemoryTier,
     TieredStore,
-    integrity_policy_from_env,
 )
-from ..store.base import env_int
-from .cache import AUTO_BACKEND, default_cache_dir, resolve_backend
+from .cache import default_cache_dir, resolve_backend
 
 #: Folded into every trace key and the on-disk layout.  Bump whenever
 #: the functional semantics of window execution or the trace encoding
@@ -80,11 +77,6 @@ DEFAULT_TRACE_HANDLES = 4
 
 def trace_enabled_by_env() -> bool:
     return os.environ.get("REPRO_TRACE", "1") not in ("0", "false", "no")
-
-
-def trace_handles_from_env() -> int:
-    """``REPRO_TRACE_HANDLES`` (default :data:`DEFAULT_TRACE_HANDLES`)."""
-    return max(1, env_int("REPRO_TRACE_HANDLES", DEFAULT_TRACE_HANDLES))
 
 
 def default_trace_dir(cache_root: Optional[pathlib.Path] = None) -> pathlib.Path:
@@ -134,16 +126,13 @@ class _TraceCodec(Codec):
 class TraceStore:
     """Content-addressed store mapping functional keys to trace files."""
 
-    #: Historical name of the default open-handle LRU bound.
-    HANDLE_CACHE_SIZE = DEFAULT_TRACE_HANDLES
-
     def __init__(self, root: Optional[pathlib.Path] = None,
                  enabled: bool = True,
-                 policy: Optional[str] = None,
-                 handles: Optional[int] = None,
-                 backend: Union[Backend, str, None] = AUTO_BACKEND,
+                 policy: str = "repair",
+                 handles: int = DEFAULT_TRACE_HANDLES,
+                 backend: Union[Backend, str, None] = None,
                  pages: Optional[Dict[str, str]] = None,
-                 breaker: Optional[bool] = None) -> None:
+                 breaker: bool = True) -> None:
         self.root = pathlib.Path(root) if root else default_trace_dir()
         self.enabled = enabled
         #: ``{functional key: shared-memory segment name}`` published
@@ -156,13 +145,9 @@ class TraceStore:
         self._tiers = TieredStore(
             disk=DiskTier(self.root, TRACE_STORE_VERSION, ".trace"),
             codec=codec,
-            memory=MemoryTier(
-                max_entries=(max(1, handles) if handles is not None
-                             else trace_handles_from_env()),
-                max_bytes=None),
+            memory=MemoryTier(max_entries=max(1, handles), max_bytes=None),
             backend=resolve_backend(backend, codec.namespace, breaker),
-            policy=(policy if policy is not None
-                    else integrity_policy_from_env()),
+            policy=policy,
             # record() keeps the fresh handle hot: the recording config
             # immediately replays it, then every sibling config does.
             promote_on_put=True,

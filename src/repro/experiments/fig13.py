@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.brr import BranchOnRandomUnit
 from ..engine import ExperimentEngine, WindowSpec, is_failure, run_population
 from ..stats import (
     Cell,
@@ -40,8 +39,7 @@ from ..stats import (
     estimate_mean,
 )
 from ..timing.config import TimingConfig
-from ..timing.runner import WindowResult, cycles_per_site, overhead_percent, time_window
-from ..workloads.microbench import END_MARKER, WARM_MARKER, Microbench
+from ..timing.runner import WindowResult, cycles_per_site, overhead_percent
 
 #: Interval sweep of Figure 13/14.
 INTERVALS: Tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -113,24 +111,6 @@ class MicrobenchSweep:
         if self.sampling is not None:
             data["sampling"] = self.sampling.to_dict()
         return data
-
-
-def _run(bench: Microbench, config: Optional[TimingConfig],
-         lfsr_seed: int = 0) -> WindowResult:
-    unit = None
-    if bench.variant.startswith("brr"):
-        from ..core.lfsr import Lfsr
-
-        seed = (0xACE1 + lfsr_seed * 7919) & 0xFFFFF or 1
-        unit = BranchOnRandomUnit(Lfsr(20, seed=seed))
-    return time_window(
-        bench.program,
-        begin=(WARM_MARKER, 1),
-        end=(END_MARKER, 1),
-        setup=bench.load_text,
-        brr_unit=unit,
-        config=config,
-    )
 
 
 def microbench_window_spec(

@@ -182,7 +182,7 @@ Check = Tuple[str, Callable[[], Tuple[bool, str]]]
 def default_checks(quick: bool = True) -> List[Check]:
     """Every headline claim at ``quick`` or full evaluation scale."""
     accuracy_scale = 0.01 if quick else 0.05
-    jvm_scale = 2.0 if quick else 3.0
+    fig12_scale = 2.0 if quick else 3.0
     n_chars = 2500 if quick else 4000
     return [
         ("Figure 6: LFSR walks the published sequence", _check_figure6),
@@ -197,7 +197,7 @@ def default_checks(quick: bool = True) -> List[Check]:
         ("Figure 14: order-of-magnitude per-site gap, ~0.1 cycle floor",
          lambda: _check_per_site_gap(n_chars)),
         ("Figure 12: brr far below counter-based on the JVM workloads",
-         lambda: _check_jvm_overhead(jvm_scale)),
+         lambda: _check_jvm_overhead(fig12_scale)),
         ("Sampled estimation: planned subsets reproduce exhaustive "
          "figures within their CIs",
          lambda: _check_sampled_estimation(n_chars=1200 if quick else 2500)),

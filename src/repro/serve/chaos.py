@@ -257,11 +257,14 @@ def _post(port: int, document: Dict[str, Any],
 
 
 def _engine(root: pathlib.Path, backend: Optional[Backend]) -> ExperimentEngine:
-    """A serial, hermetic engine over ``root`` (no env-resolved stores)."""
-    cache = ResultCache(root / "cache", backend=backend)
-    traces = TraceStore(root / "cache" / "traces", backend=None)
-    return ExperimentEngine(config=EngineConfig(jobs=1),
-                            cache=cache, trace_store=traces)
+    """A serial engine over stores under ``root``; the shared tier is
+    the harness's own ``backend``, never the configured one."""
+    config = EngineConfig.from_env(jobs=1)
+    cache = ResultCache(root / "cache", policy=config.integrity,
+                        backend=backend)
+    traces = TraceStore(root / "cache" / "traces", policy=config.integrity,
+                        handles=config.trace_handles)
+    return ExperimentEngine(config=config, cache=cache, trace_store=traces)
 
 
 def run_chaos_serve(*, command: str = "figure13",

@@ -12,16 +12,11 @@ re-exported by :mod:`repro.engine.integrity`.
 """
 
 from .backend import (
-    BACKEND_ENV,
-    BREAKER_ENV,
     BREAKER_STATES,
     Backend,
     BackendUnavailable,
     CircuitBreakerBackend,
     FilesystemBackend,
-    backend_from_env,
-    backend_spec_from_env,
-    breaker_enabled_by_env,
     breaker_from_env,
     make_backend,
     maybe_wrap_breaker,
@@ -41,7 +36,6 @@ from .integrity import (
     IntegrityCounters,
     IntegrityError,
     check_policy,
-    integrity_policy_from_env,
     payload_digest,
     purge_quarantine,
     quarantine_entry,
@@ -58,16 +52,11 @@ from .memory import (
 from .tiered import Codec, TieredStore
 
 __all__ = [
-    "BACKEND_ENV",
-    "BREAKER_ENV",
     "BREAKER_STATES",
     "Backend",
     "BackendUnavailable",
     "CircuitBreakerBackend",
     "FilesystemBackend",
-    "backend_from_env",
-    "backend_spec_from_env",
-    "breaker_enabled_by_env",
     "breaker_from_env",
     "make_backend",
     "maybe_wrap_breaker",
@@ -83,7 +72,6 @@ __all__ = [
     "IntegrityCounters",
     "IntegrityError",
     "check_policy",
-    "integrity_policy_from_env",
     "payload_digest",
     "purge_quarantine",
     "quarantine_entry",

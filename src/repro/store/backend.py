@@ -19,7 +19,7 @@ root carries the whole corpus.  New schemes register via
 A shared medium is the one tier a replica does not control: it can
 stall, vanish, or flake without warning.  :class:`CircuitBreakerBackend`
 is the resilience wrapper the tiered stores put around whatever
-backend a spec names (``REPRO_BREAKER``, default on): every call gets
+backend a spec names (``EngineConfig.breaker``, default on): every call gets
 a wall-clock budget (a hung NFS read becomes a miss, not a hung
 request), transient errors retry with exponential backoff, and a run
 of consecutive failures *opens* the breaker — calls then fail fast
@@ -43,12 +43,8 @@ from typing import Any, Callable, Deque, Dict, Optional
 
 from .base import TierCounters
 
-#: Environment variable that selects the shared backend for every
-#: store in the process; see :func:`make_backend` for the format.
-BACKEND_ENV = "REPRO_STORE_BACKEND"
-
-#: Values of :data:`BACKEND_ENV` that mean "no shared backend".
-_DISABLED = ("", "0", "none", "off", "no")
+#: Backend specs that mean "no shared backend".
+DISABLED_SPECS = ("", "0", "none", "off", "no")
 
 
 class Backend:
@@ -138,9 +134,6 @@ class FilesystemBackend(Backend):
 
 #: The breaker's states, in the classic pattern's vocabulary.
 BREAKER_STATES = ("closed", "open", "half_open")
-
-#: Environment switch: wrap spec-named backends in a breaker.
-BREAKER_ENV = "REPRO_BREAKER"
 
 
 class BackendUnavailable(OSError):
@@ -357,12 +350,6 @@ class CircuitBreakerBackend(Backend):
                     breaker=self.breaker_stats())
 
 
-def breaker_enabled_by_env() -> bool:
-    """``REPRO_BREAKER`` (default on): wrap spec-named backends."""
-    return os.environ.get(BREAKER_ENV, "1").strip().lower() \
-        not in ("0", "false", "no", "off")
-
-
 def breaker_from_env(inner: Backend) -> CircuitBreakerBackend:
     """A breaker around ``inner``, tuned by ``REPRO_BREAKER_*``."""
     def _float(name: str, default: float) -> float:
@@ -389,16 +376,11 @@ def breaker_from_env(inner: Backend) -> CircuitBreakerBackend:
 
 
 def maybe_wrap_breaker(backend: Optional[Backend],
-                       enabled: Optional[bool] = None) -> Optional[Backend]:
-    """Wrap ``backend`` in a circuit breaker unless disabled.
-
-    ``enabled=None`` resolves ``REPRO_BREAKER`` (default on); an
-    already-wrapped backend (or ``None``) passes through untouched.
-    """
+                       enabled: bool = True) -> Optional[Backend]:
+    """Wrap ``backend`` in a circuit breaker unless disabled; an
+    already-wrapped backend (or ``None``) passes through untouched."""
     if backend is None or isinstance(backend, CircuitBreakerBackend):
         return backend
-    if enabled is None:
-        enabled = breaker_enabled_by_env()
     return breaker_from_env(backend) if enabled else backend
 
 
@@ -425,7 +407,7 @@ def make_backend(spec: Optional[str], namespace: str) -> Optional[Backend]:
     shared root (``results`` / ``traces``).  Unset/disabled specs
     return ``None``; an unknown scheme raises ``ValueError``.
     """
-    if spec is None or spec.strip().lower() in _DISABLED:
+    if spec is None or spec.strip().lower() in DISABLED_SPECS:
         return None
     spec = spec.strip()
     scheme, sep, rest = spec.partition(":")
@@ -438,14 +420,3 @@ def make_backend(spec: Optional[str], namespace: str) -> Optional[Backend]:
             f"known: {sorted(_SCHEMES)}")
     return factory(rest, namespace)
 
-
-def backend_spec_from_env() -> Optional[str]:
-    """``REPRO_STORE_BACKEND``, or ``None`` when unset/disabled."""
-    spec = os.environ.get(BACKEND_ENV)
-    if spec is None or spec.strip().lower() in _DISABLED:
-        return None
-    return spec
-
-
-def backend_from_env(namespace: str) -> Optional[Backend]:
-    return make_backend(backend_spec_from_env(), namespace)

@@ -45,12 +45,6 @@ class IntegrityError(RuntimeError):
     """Corrupt on-disk state detected under the ``verify`` policy."""
 
 
-def integrity_policy_from_env() -> str:
-    """``REPRO_INTEGRITY`` (default ``repair``: self-healing stores)."""
-    policy = os.environ.get("REPRO_INTEGRITY", "repair")
-    return policy if policy in INTEGRITY_POLICIES else "repair"
-
-
 def check_policy(policy: str) -> str:
     if policy not in INTEGRITY_POLICIES:
         raise ValueError(

@@ -5,7 +5,6 @@ from .config import NAIVE_BRR_CONFIG, PAPER_CONFIG, TimingConfig
 from .cosim import CoSimulator, CosimDivergence, ReplayUnit
 from .fastpath import (
     FastPathUnsupported,
-    fastpath_enabled,
     fastpath_override,
     run_fastpath,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "CosimDivergence",
     "ReplayUnit",
     "FastPathUnsupported",
-    "fastpath_enabled",
     "fastpath_override",
     "run_fastpath",
     "compare",

@@ -43,15 +43,14 @@ issue-port request falling behind the retained bandwidth window)
 raises :class:`FastPathUnsupported` and the caller falls back to the
 golden loop.
 
-``REPRO_FAST=0`` opts out globally (threaded through
-:class:`~repro.engine.core.ExperimentEngine` and its pool workers);
-see ``docs/performance.md``.
+``EngineConfig(fast="off")`` (``REPRO_FAST=off``) opts out globally:
+the engine installs its kernel mode in-process and ships it to its
+pool workers; see ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 from collections import deque
 from typing import List, Optional, Tuple
 
@@ -67,7 +66,7 @@ class FastPathUnsupported(Exception):
 
 
 # ----------------------------------------------------------------------
-# REPRO_FAST knob.  Three-valued since the v2 kernel landed:
+# Kernel selection (``EngineConfig.fast``):
 #
 #   ``vector`` — numpy span-replay kernel (:mod:`.fastpath_vec`), the
 #       default; falls back to ``loop`` for anything it cannot
@@ -75,53 +74,31 @@ class FastPathUnsupported(Exception):
 #   ``loop``   — the per-record columnar kernel in this module (the
 #       pre-v2 fast path);
 #   ``off``    — golden lock-step model only.
-#
-# The historical boolean spellings keep working: ``0``/``false``/``no``
-# mean ``off``, ``1``/``true``/``yes`` mean the default fast kernel.
 
 FAST_MODES = ("vector", "loop", "off")
 
 _override: Optional[str] = None
 
 
-def normalize_fast_mode(value) -> Optional[str]:
-    """Map a knob value (bool, str or ``None``) onto a mode name."""
-    if value is None:
-        return None
-    if value is True:
-        return "vector"
-    if value is False:
-        return "off"
-    raw = str(value).strip().lower()
-    if raw in ("0", "false", "no", "off"):
-        return "off"
-    if raw in ("1", "true", "yes", "on", "fast", "vector", ""):
-        return "vector"
-    if raw == "loop":
-        return "loop"
+def normalize_fast_mode(value: Optional[str]) -> Optional[str]:
+    """``value`` itself when it is a mode name or ``None``; raises
+    ``ValueError`` on anything else (booleans included)."""
+    if value is None or value in FAST_MODES:
+        return value
     raise ValueError(
         f"bad fast-path mode {value!r} (expected one of {FAST_MODES})")
 
 
 def fastpath_mode() -> str:
-    """The active kernel selection: ``REPRO_FAST`` (default
-    ``vector``), unless a caller installed an explicit override (the
-    engine does, so pool workers follow the parent process's setting
-    rather than re-reading the environment)."""
-    if _override is not None:
-        return _override
-    return normalize_fast_mode(os.environ.get("REPRO_FAST", "vector"))
+    """The active kernel selection: the installed override (the engine
+    installs its ``config.fast`` around execution, in-process and in
+    every pool worker), else the library default ``vector``."""
+    return _override or "vector"
 
 
-def fastpath_enabled() -> bool:
-    """Whether any fast kernel is selected (historical boolean view)."""
-    return fastpath_mode() != "off"
-
-
-def set_fastpath_override(value) -> Optional[str]:
-    """Force a fast-path mode (``None`` restores the env default);
-    accepts mode names or historical booleans; returns the previous
-    override."""
+def set_fastpath_override(value: Optional[str]) -> Optional[str]:
+    """Force a fast-path mode (``None`` restores the library default);
+    returns the previous override."""
     global _override
     previous = _override
     _override = normalize_fast_mode(value)

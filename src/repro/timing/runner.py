@@ -25,7 +25,7 @@ from __future__ import annotations
 import io
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.brr import RandomSource
 from ..isa.program import Program
@@ -316,10 +316,9 @@ def _resolve_window(
     return i_skip, i_begin, i_end
 
 
-def _resolve_fast_mode(fast: Union[None, bool, str]) -> str:
-    """``fast`` argument -> kernel mode (env-resolved when ``None``)."""
-    mode = normalize_fast_mode(fast)
-    return fastpath_mode() if mode is None else mode
+def _resolve_fast_mode(fast: Optional[str]) -> str:
+    """``fast`` argument -> kernel mode (the active one when ``None``)."""
+    return normalize_fast_mode(fast) or fastpath_mode()
 
 
 def _replay_resolved(
@@ -380,7 +379,7 @@ def replay_window(
     fast_forward: Optional[MarkerPoint] = None,
     program: Optional[Program] = None,
     prewarm_code: bool = True,
-    fast: Union[None, bool, str] = None,
+    fast: Optional[str] = None,
 ) -> WindowResult:
     """Replay a recorded functional stream through the timing model.
 
@@ -395,11 +394,10 @@ def replay_window(
     :mod:`~repro.timing.fastpath_vec` fixpoint kernel, which routes
     windows it does not admit or cannot solve exactly to the loop
     kernel), ``"loop"`` (the per-record columnar kernel of
-    :mod:`~repro.timing.fastpath`), or ``"off"`` / ``False`` (the
-    per-record golden loop).  ``True`` is accepted as ``"vector"`` for
-    backward compatibility.  ``None`` (default) follows the
-    ``REPRO_FAST`` environment knob.  Every strategy produces
-    byte-identical stats.
+    :mod:`~repro.timing.fastpath`), or ``"off"`` (the per-record
+    golden loop).  ``None`` (default) follows the active mode — the
+    engine's ``config.fast`` inside engine execution, else
+    ``"vector"``.  Every strategy produces byte-identical stats.
     """
     i_skip, i_begin, i_end = _resolve_window(trace, begin, end,
                                              fast_forward)
@@ -434,7 +432,7 @@ def replay_window_batch(
     windows: Sequence[Dict[str, object]],
     program: Optional[Program] = None,
     prewarm_code: bool = True,
-    fast: Union[None, bool, str] = None,
+    fast: Optional[str] = None,
 ) -> List[WindowResult]:
     """Replay several timing windows of ONE recorded trace in a batch.
 

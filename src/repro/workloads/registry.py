@@ -1,9 +1,7 @@
 """The unified workload registry: one API over every workload family.
 
-Before this module, each workload family had its own ad-hoc builder
-(``dacapo.spec_by_name``/``generate_events``, ``microbench.
-build_microbench``, ``text.generate_text``); callers had to know each
-one's shape.  :func:`get_workload` replaces them::
+Every workload family is built through one entry point,
+:func:`get_workload`, instead of an ad-hoc builder per family::
 
     get_workload("jython", scale=0.01).events()
     get_workload("microbench", variant="full").program()
@@ -23,8 +21,7 @@ Every family answers the same three-method :class:`Workload` protocol:
 ``raw`` exposes the family-specific object (:class:`Microbench`,
 :class:`AdversarialProgram`, :class:`DacapoSpec`, ``bytes``) for
 callers that need family extras (``load_text``, ``measured_sites``,
-streaming ``event_chunks`` ...).  The legacy builders remain available
-as one-warning deprecation shims delegating here.
+streaming ``event_chunks`` ...).
 """
 
 from __future__ import annotations
@@ -123,9 +120,9 @@ def _build_dacapo(name: str, scale: float = 0.1, seed: int = 0,
                   **overrides: Any) -> DacapoWorkload:
     import dataclasses
 
-    from .dacapo import _spec_by_name
+    from .dacapo import _lookup_spec
 
-    spec = _spec_by_name(name)
+    spec = _lookup_spec(name)
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
     knobs = dict(dataclasses.asdict(spec), scale=scale, seed=seed)
@@ -134,9 +131,9 @@ def _build_dacapo(name: str, scale: float = 0.1, seed: int = 0,
 
 @workload_family("microbench")
 def _build_microbench_workload(**knobs: Any) -> MicrobenchWorkload:
-    from .microbench import _build_microbench
+    from .microbench import _assemble_microbench
 
-    bench = _build_microbench(**knobs)
+    bench = _assemble_microbench(**knobs)
     recorded = dict(knobs)
     recorded.pop("text", None)  # bytes: derived from n_chars/seed
     return MicrobenchWorkload(family="microbench", knobs=recorded, raw=bench)
@@ -144,10 +141,10 @@ def _build_microbench_workload(**knobs: Any) -> MicrobenchWorkload:
 
 @workload_family("text")
 def _build_text(**knobs: Any) -> TextWorkload:
-    from .text import _generate_text
+    from .text import _play_text
 
     return TextWorkload(family="text", knobs=dict(knobs),
-                        raw=_generate_text(**knobs))
+                        raw=_play_text(**knobs))
 
 
 @workload_family("adversarial")

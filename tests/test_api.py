@@ -3,8 +3,8 @@
 Pins the API-redesign contracts: every CLI command has a keyword-only
 ``run_*`` twin returning a :class:`FigureResult`, the CLI and the
 façade produce identical output (same code path), the engine config
-round-trips and resolves the environment in one place, and the
-deprecated spellings keep working behind warnings.
+round-trips and resolves the environment in one place (and nowhere
+else), and the one deprecated spelling left warns.
 """
 
 import inspect
@@ -132,12 +132,57 @@ class TestEngineConfig:
         monkeypatch.setenv("REPRO_RETRIES", "7")
         assert EngineConfig.from_env(retries=1).retries == 1
 
-    def test_from_env_ignores_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMEOUT", "soon")
-        monkeypatch.setenv("REPRO_FAILURE_POLICY", "whatever")
-        config = EngineConfig.from_env()
-        assert config.timeout is None
-        assert config.failure_policy == "retry"
+    @pytest.mark.parametrize("name,raw", [
+        ("REPRO_FAST", "vectr"),
+        ("REPRO_TIMEOUT", "soon"),
+        ("REPRO_FAILURE_POLICY", "whatever"),
+        ("REPRO_JOBS", "x"),
+        ("REPRO_VALIDATE_POLICY", "nope"),
+    ])
+    def test_from_env_rejects_garbage(self, monkeypatch, name, raw):
+        """No fallback may be silent: a malformed value names the
+        variable instead of quietly keeping the default."""
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError, match=name):
+            EngineConfig.from_env()
+
+    def test_from_env_is_the_only_reader(self, monkeypatch, tmp_path):
+        """A constructed config, engine and stores ignore the
+        environment; only ``from_env`` reads it."""
+        from repro.engine import TraceStore
+
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        monkeypatch.setenv("REPRO_FAST", "off")
+        monkeypatch.setenv("REPRO_TRACE_PAGES", "0")
+        monkeypatch.setenv("REPRO_TRACE_HANDLES", "9")
+        monkeypatch.setenv("REPRO_BREAKER", "0")
+        engine = ExperimentEngine(config=EngineConfig(),
+                                  cache=ResultCache(tmp_path / "cache"),
+                                  trace_store=TraceStore(tmp_path / "traces"))
+        assert engine.jobs == 1
+        assert engine.config == EngineConfig()
+        assert engine.config.fast == "vector"
+        assert engine.config.trace_pages and engine.config.breaker
+        assert engine.trace_store.handle_limit == 4
+        assert engine.cache.backend is None
+        resolved = EngineConfig.from_env()
+        assert (resolved.jobs, resolved.fast, resolved.trace_pages,
+                resolved.trace_handles, resolved.breaker) \
+            == (3, "off", False, 9, False)
+
+    def test_defaults_are_concrete(self):
+        config = EngineConfig()
+        assert (config.fast, config.trace_pages, config.breaker,
+                config.integrity, config.store_backend,
+                config.trace_handles) \
+            == ("vector", True, True, "repair", None, 4)
+
+    @pytest.mark.parametrize("fast,mode", [(True, "vector"),
+                                           (False, "off")])
+    def test_boolean_fast_warns_and_maps(self, fast, mode):
+        with pytest.warns(DeprecationWarning, match="fast="):
+            config = EngineConfig(fast=fast)
+        assert config.fast == mode
 
     def test_with_overrides_returns_new_frozen_copy(self):
         config = EngineConfig()

@@ -147,12 +147,12 @@ class TestSerialization:
 def _tiny_specs():
     """A small mixed batch: accuracy + timing windows."""
     from repro.experiments import accuracy_window_spec, microbench_window_spec
-    from repro.workloads.dacapo import spec_by_name
+    from repro.workloads import get_workload
 
     return [
-        accuracy_window_spec(spec_by_name("fop"), 1 << 10,
+        accuracy_window_spec(get_workload("fop").spec, 1 << 10,
                              ("sw", "random"), 0.003, seed=0),
-        accuracy_window_spec(spec_by_name("fop"), 1 << 10,
+        accuracy_window_spec(get_workload("fop").spec, 1 << 10,
                              ("random",), 0.003, seed=1),
         microbench_window_spec(500, "full-dup", seed=1, kind="brr",
                                interval=64, lfsr_seed=64),
@@ -188,9 +188,9 @@ class TestEngineExecution:
         """Figure-level determinism: the reducers' JSON output is
         byte-identical whichever backend computed the windows."""
         from repro.experiments import accuracy_figure
-        from repro.workloads.dacapo import spec_by_name
+        from repro.workloads import get_workload
 
-        benchmarks = [spec_by_name("fop"), spec_by_name("antlr")]
+        benchmarks = [get_workload("fop").spec, get_workload("antlr").spec]
         outputs = [
             json.dumps(accuracy_figure(1 << 10, scale=0.003,
                                        benchmarks=benchmarks, engine=engine),
@@ -215,17 +215,17 @@ class TestEngineExecution:
         engine = ExperimentEngine(cache=ResultCache(tmp_path))
         assert engine.run([]) == []
 
-    def test_legacy_kwargs_warn_once_but_work(self, tmp_path):
-        """Satellite: old ``ExperimentEngine(jobs=...)`` callers keep
-        working through a one-warning deprecation shim."""
-        with pytest.warns(DeprecationWarning) as caught:
-            engine = ExperimentEngine(jobs=3, fast=False,
-                                      cache=ResultCache(tmp_path))
-        assert len(caught) == 1
+    def test_constructor_is_keyword_only(self, tmp_path):
+        """The scalar ``jobs=``/``fast=`` kwargs are retired: every
+        knob travels in the config, every argument by keyword."""
+        with pytest.raises(TypeError):
+            ExperimentEngine(3)
+        with pytest.raises(TypeError):
+            ExperimentEngine(jobs=3, cache=ResultCache(tmp_path))
+        engine = ExperimentEngine(config=EngineConfig(jobs=3, fast="off"),
+                                  cache=ResultCache(tmp_path))
         assert engine.jobs == 3
-        assert engine.config.jobs == 3
-        # Legacy booleans resolve onto the kernel-mode names.
-        assert engine.fast == "off"
+        assert engine.config.fast == "off"
 
 
 class TestRunArtifacts:

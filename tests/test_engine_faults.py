@@ -32,12 +32,12 @@ from repro.engine import (
 def _specs():
     """A cheap mixed batch (accuracy + timing windows)."""
     from repro.experiments import accuracy_window_spec, microbench_window_spec
-    from repro.workloads.dacapo import spec_by_name
+    from repro.workloads import get_workload
 
     return [
-        accuracy_window_spec(spec_by_name("fop"), 1 << 10,
+        accuracy_window_spec(get_workload("fop").spec, 1 << 10,
                              ("random",), 0.003, seed=0),
-        accuracy_window_spec(spec_by_name("antlr"), 1 << 10,
+        accuracy_window_spec(get_workload("antlr").spec, 1 << 10,
                              ("sw",), 0.003, seed=1),
         microbench_window_spec(500, "full-dup", seed=1, kind="brr",
                                interval=64, lfsr_seed=64),

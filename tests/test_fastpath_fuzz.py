@@ -211,9 +211,9 @@ def test_zero_length_measured_window():
     program = assemble(fuzz_program(3, blocks=12))
     trace = record_window(program, end=(3, 1), brr_unit=_brr_unit(3))
     golden = replay_window(trace, begin=(3, 1), end=(3, 1),
-                           program=program, fast=False)
+                           program=program, fast="off")
     fast = replay_window(trace, begin=(3, 1), end=(3, 1),
-                         program=program, fast=True)
+                         program=program, fast="vector")
     assert fast.stats == golden.stats
     assert fast.instructions == 0
 
@@ -239,4 +239,4 @@ def test_trapped_trace_falls_back_to_golden_error():
     trace = record_window(program, end=(2, 1), setup=emulator.install)
     with pytest.raises(ValueError, match="trap-emulated"):
         replay_window(trace, begin=(1, 1), end=(2, 1), program=program,
-                      fast=True)
+                      fast="vector")

@@ -5,9 +5,9 @@ The fast path (:mod:`repro.timing.fastpath`) is a pure speed change —
 its contract is that every :class:`~repro.timing.pipeline.TimingStats`
 is byte-identical to the per-record golden loop.  These tests pin that
 for all 15 Figure-12 cells and 4 Figure-13 combos, pin the
-``REPRO_FAST`` opt-out knob and the engine's path/throughput
-telemetry, and check the columnar trace decoder against the record
-iterator it replaces.
+``REPRO_FAST`` knob (read by ``EngineConfig.from_env`` alone) and the
+engine's path/throughput telemetry, and check the columnar trace
+decoder against the record iterator it replaces.
 """
 
 import json
@@ -26,7 +26,7 @@ from repro.experiments.bench_timing import scorecard_bench_specs
 from repro.experiments.fig13 import microbench_window_spec
 from repro.timing.config import TimingConfig
 from repro.timing.fastpath import (
-    fastpath_enabled,
+    fastpath_mode,
     fastpath_override,
     set_fastpath_override,
 )
@@ -141,30 +141,34 @@ class TestBatchedReplay:
 
 
 class TestFastpathKnob:
+    """``REPRO_FAST`` is read by ``EngineConfig.from_env`` alone; the
+    timing layer only follows the mode the engine installs."""
+
     def test_env_default_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAST", raising=False)
         set_fastpath_override(None)
-        assert fastpath_enabled()
+        assert EngineConfig.from_env().fast == "vector"
+        assert fastpath_mode() == "vector"
 
     @pytest.mark.parametrize("value,expected", [
-        ("0", False), ("false", False), ("no", False), ("1", True),
         ("vector", True), ("loop", True), ("off", False),
     ])
     def test_env_values(self, monkeypatch, value, expected):
         monkeypatch.setenv("REPRO_FAST", value)
-        set_fastpath_override(None)
-        assert fastpath_enabled() is expected
+        assert (EngineConfig.from_env().fast != "off") is expected
 
     @pytest.mark.parametrize("value,mode", [
-        ("1", "vector"), ("vector", "vector"), ("loop", "loop"),
-        ("0", "off"), ("off", "off"),
+        ("vector", "vector"), ("loop", "loop"), ("off", "off"),
     ])
     def test_env_selects_kernel_mode(self, monkeypatch, value, mode):
-        from repro.timing.fastpath import fastpath_mode
-
         monkeypatch.setenv("REPRO_FAST", value)
-        set_fastpath_override(None)
-        assert fastpath_mode() == mode
+        assert EngineConfig.from_env().fast == mode
+
+    @pytest.mark.parametrize("value", ["0", "1", "false", "no", "true"])
+    def test_retired_boolean_spellings_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_FAST", value)
+        with pytest.raises(ValueError, match="REPRO_FAST"):
+            EngineConfig.from_env()
 
     def test_bad_mode_name_rejected(self):
         from repro.timing.fastpath import normalize_fast_mode
@@ -172,28 +176,48 @@ class TestFastpathKnob:
         with pytest.raises(ValueError):
             normalize_fast_mode("warp")
 
-    def test_override_wins_and_restores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST", "1")
+    @pytest.mark.parametrize("value", [False, True])
+    def test_boolean_override_rejected(self, value):
+        """The timing layer takes mode names only; an on/off boolean
+        is refused and leaves the active mode untouched."""
         set_fastpath_override(None)
-        with fastpath_override(False):
-            assert not fastpath_enabled()
-            with fastpath_override(True):
-                assert fastpath_enabled()
-            assert not fastpath_enabled()
-        assert fastpath_enabled()
+        with pytest.raises(ValueError):
+            set_fastpath_override(value)
+        assert fastpath_mode() == "vector"
+
+    def test_env_is_not_read_below_the_config(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAST", "off")
+        set_fastpath_override(None)
+        assert fastpath_mode() == "vector"
+
+    def test_override_wins_and_restores(self):
+        set_fastpath_override(None)
+        with fastpath_override("off"):
+            assert fastpath_mode() == "off"
+            with fastpath_override("loop"):
+                assert fastpath_mode() == "loop"
+            assert fastpath_mode() == "off"
+        assert fastpath_mode() == "vector"
 
     def test_replay_honours_env(self, monkeypatch):
+        """``REPRO_FAST=off`` reaches replay through the engine config
+        (``from_env`` -> installed override), not a second reader."""
         spec = microbench_window_spec(300, "full-dup", seed=0, kind="brr",
                                       interval=256)
         materials, trace = _record(spec)
-        monkeypatch.setenv("REPRO_FAST", "0")
-        set_fastpath_override(None)
-        try:
+        monkeypatch.setenv("REPRO_FAST", "off")
+        with fastpath_override(EngineConfig.from_env().fast):
             replay_window(trace, materials["begin"], materials["end"],
                           program=materials["program"])
-            assert consume_replay_info()["timing_path"] == "golden"
-        finally:
-            set_fastpath_override(None)
+        assert consume_replay_info()["timing_path"] == "golden"
+
+    def test_replay_rejects_boolean_fast(self):
+        spec = microbench_window_spec(300, "full-dup", seed=0, kind="brr",
+                                      interval=256)
+        materials, trace = _record(spec)
+        with pytest.raises(ValueError):
+            replay_window(trace, materials["begin"], materials["end"],
+                          program=materials["program"], fast=False)
 
 
 class TestEngineTelemetry:
@@ -208,8 +232,8 @@ class TestEngineTelemetry:
     def test_jsonl_logs_path_and_throughput(self, tmp_path):
         spec = microbench_window_spec(300, "full-dup", seed=0, kind="cbs",
                                       interval=256)
-        fast_engine = self._engine(tmp_path, "fast", fast=True)
-        golden_engine = self._engine(tmp_path, "golden", fast=False)
+        fast_engine = self._engine(tmp_path, "fast", fast="vector")
+        golden_engine = self._engine(tmp_path, "golden", fast="off")
         fast_payload = fast_engine.run([spec])[0]
         golden_payload = golden_engine.run([spec])[0]
         assert json.dumps(fast_payload, sort_keys=True) \
@@ -228,7 +252,7 @@ class TestEngineTelemetry:
 
         spec = microbench_window_spec(300, "full-dup", seed=0, kind="brr",
                                       interval=256)
-        engine = self._engine(tmp_path, "handles", fast=True)
+        engine = self._engine(tmp_path, "handles", fast="vector")
         engine.run([spec])
         key = functional_key(spec.kind, spec.params_dict())
         first = engine.trace_store.load(key)

@@ -396,7 +396,7 @@ def _record_one():
     return materials, trace
 
 
-def _replay(materials, trace, fast=True):
+def _replay(materials, trace, fast="vector"):
     return replay_window(trace, materials["begin"], materials["end"],
                          program=materials["program"], fast=fast)
 
@@ -427,7 +427,7 @@ class TestWatchdog:
 
     def test_perturbed_fastpath_falls_back_to_golden(self):
         materials, trace = _record_one()
-        golden = _replay(materials, trace, fast=False)
+        golden = _replay(materials, trace, fast="off")
         with validation_override(ValidationSettings(every=1,
                                                     policy="fallback")):
             with fastpath.stats_tap(_perturb):
@@ -441,7 +441,7 @@ class TestWatchdog:
 
     def test_warn_policy_keeps_fast_stats(self):
         materials, trace = _record_one()
-        golden = _replay(materials, trace, fast=False)
+        golden = _replay(materials, trace, fast="off")
         with validation_override(ValidationSettings(every=1, policy="warn")):
             with fastpath.stats_tap(_perturb):
                 result = _replay(materials, trace)
@@ -463,7 +463,7 @@ class TestWatchdog:
 
     def test_compare_stats_lists_only_diverging_fields(self):
         materials, trace = _record_one()
-        stats = _replay(materials, trace, fast=False).stats
+        stats = _replay(materials, trace, fast="off").stats
         assert compare_stats(stats, stats) == []
         mismatches = compare_stats(stats, _perturb(stats))
         assert [m["field"] for m in mismatches] == ["cycles"]

@@ -5,12 +5,13 @@ import pytest
 from repro.core.brr import BranchOnRandomUnit
 from repro.core.lfsr import Lfsr
 from repro.sampling import ConvergentController, SiteBinding
-from repro.workloads.microbench import PROFILE_BASE, build_microbench
+from repro.workloads import get_workload
+from repro.workloads.microbench import PROFILE_BASE
 
 
 def make_setup(n_chars=6000, seed=3, interval=4):
-    bench = build_microbench(n_chars, variant="no-dup", kind="brr",
-                             interval=interval, seed=seed)
+    bench = get_workload("microbench", n_chars=n_chars, variant="no-dup",
+                         kind="brr", interval=interval, seed=seed).raw
     machine = bench.make_machine(
         brr_unit=BranchOnRandomUnit(Lfsr(20, seed=0x1111)))
     return bench, machine
@@ -29,10 +30,11 @@ class TestBindings:
             assert PROFILE_BASE <= binding.counter_addr < PROFILE_BASE + 16
 
     def test_bindings_require_brr_nodup(self):
-        bench = build_microbench(500, variant="full")
+        bench = get_workload("microbench", n_chars=500, variant="full").raw
         with pytest.raises(ValueError):
             bench.brr_site_bindings()
-        bench = build_microbench(500, variant="full-dup", kind="brr")
+        bench = get_workload("microbench", n_chars=500, variant="full-dup",
+                             kind="brr").raw
         with pytest.raises(ValueError):
             bench.brr_site_bindings()
 

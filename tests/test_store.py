@@ -37,7 +37,6 @@ from repro.experiments.fig13 import microbench_window_spec
 from repro.store import (
     FilesystemBackend,
     MemoryTier,
-    backend_spec_from_env,
     make_backend,
 )
 
@@ -183,10 +182,9 @@ class TestBackendTier:
         with pytest.raises(ValueError):
             make_backend("s3:bucket", "results")
         monkeypatch.setenv("REPRO_STORE_BACKEND", f"fs:{tmp_path}")
-        assert backend_spec_from_env() == f"fs:{tmp_path}"
         assert EngineConfig.from_env().store_backend == f"fs:{tmp_path}"
         monkeypatch.setenv("REPRO_STORE_BACKEND", "none")
-        assert backend_spec_from_env() is None
+        assert EngineConfig.from_env().store_backend is None
 
     def test_trace_store_shares_backend_root_under_namespace(self, tmp_path):
         shared = tmp_path / "shared"
@@ -253,13 +251,20 @@ class TestTraceHandles:
         assert TraceStore(tmp_path, handles=16).handle_limit == 16
 
     def test_env_resolution(self, tmp_path, monkeypatch):
+        """``REPRO_TRACE_HANDLES`` reaches a store only through
+        ``EngineConfig.from_env``."""
         monkeypatch.setenv("REPRO_TRACE_HANDLES", "9")
-        assert TraceStore(tmp_path).handle_limit == 9
         assert EngineConfig.from_env().trace_handles == 9
+        assert TraceStore(tmp_path).handle_limit == DEFAULT_TRACE_HANDLES
+        engine = ExperimentEngine(
+            config=EngineConfig.from_env(jobs=1),
+            cache=ResultCache(tmp_path / "cache"))
+        assert engine.trace_store.handle_limit == 9
         monkeypatch.setenv("REPRO_TRACE_HANDLES", "0")
-        assert TraceStore(tmp_path).handle_limit == 1  # clamped
+        assert EngineConfig.from_env().trace_handles == 1  # clamped
         monkeypatch.delenv("REPRO_TRACE_HANDLES")
-        assert EngineConfig.from_env().trace_handles is None
+        assert EngineConfig.from_env().trace_handles \
+            == DEFAULT_TRACE_HANDLES
 
     def test_config_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.engine import ResultCache
+from repro.engine import EngineConfig, ResultCache
 from repro.engine.cache import resolve_backend
 from repro.engine.spec import WindowSpec
 from repro.store import (
@@ -227,7 +227,8 @@ class TestWrapping:
 
     def test_env_can_disable_wrapping(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_BREAKER", "0")
-        backend = resolve_backend(f"fs:{tmp_path / 'shared'}", "results")
+        backend = resolve_backend(f"fs:{tmp_path / 'shared'}", "results",
+                                  EngineConfig.from_env().breaker)
         assert isinstance(backend, FilesystemBackend)
 
     def test_live_backend_instances_pass_through(self, tmp_path):

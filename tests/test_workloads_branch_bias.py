@@ -4,13 +4,15 @@ import pytest
 
 from repro.core.brr import BranchOnRandomUnit
 from repro.core.lfsr import Lfsr
-from repro.workloads.microbench import Microbench, build_microbench
+from repro.workloads import get_workload
+from repro.workloads.microbench import Microbench
 from repro.workloads.text import class_counts
 
 
 class TestBranchBiases:
     def test_from_full_profile_exact(self):
-        bench = build_microbench(1500, variant="full", seed=8)
+        bench = get_workload("microbench", n_chars=1500, variant="full",
+                             seed=8).raw
         machine = bench.make_machine()
         machine.run(max_steps=2_000_000)
         __, counts = bench.read_results(machine)
@@ -25,14 +27,15 @@ class TestBranchBiases:
         """The point of sampling: a 1/8 brr edge profile reconstructs
         the same biases within sampling noise."""
         n = 6000
-        full_bench = build_microbench(n, variant="full", seed=8)
+        full_bench = get_workload("microbench", n_chars=n, variant="full",
+                                  seed=8).raw
         machine = full_bench.make_machine()
         machine.run(max_steps=4_000_000)
         __, full_counts = full_bench.read_results(machine)
         full_biases = Microbench.branch_biases(full_counts)
 
-        sampled_bench = build_microbench(n, variant="no-dup", kind="brr",
-                                         interval=8, seed=8)
+        sampled_bench = get_workload("microbench", n_chars=n, variant="no-dup",
+                                     kind="brr", interval=8, seed=8).raw
         machine = sampled_bench.make_machine(
             brr_unit=BranchOnRandomUnit(Lfsr(20, seed=0x777)))
         machine.run(max_steps=4_000_000)

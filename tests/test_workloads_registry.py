@@ -1,8 +1,7 @@
-"""The unified workload registry and the legacy deprecation shims.
+"""The unified workload registry.
 
 Every family round-trips through ``get_workload`` producing results
-byte-identical to its legacy entry point, and each legacy entry point
-emits exactly one :class:`DeprecationWarning` while delegating.
+byte-identical to its family module's own builder.
 """
 
 import warnings
@@ -45,27 +44,23 @@ class TestRegistrySurface:
 class TestRoundTrips:
     def test_text_matches_legacy(self):
         workload = get_workload("text", n_chars=500, seed=2)
-        with pytest.warns(DeprecationWarning):
-            legacy = text.generate_text(n_chars=500, seed=2)
+        legacy = text._play_text(n_chars=500, seed=2)
         assert workload.raw == legacy
         assert workload.events().tolist() == list(legacy)
 
     def test_microbench_matches_legacy(self):
         workload = get_workload("microbench", n_chars=400, variant="no-dup",
                                 kind="cbs", interval=64, seed=1)
-        with pytest.warns(DeprecationWarning):
-            legacy = microbench.build_microbench(
-                n_chars=400, variant="no-dup", kind="cbs", interval=64,
-                seed=1)
+        legacy = microbench._assemble_microbench(
+            n_chars=400, variant="no-dup", kind="cbs", interval=64, seed=1)
         assert list(workload.program().words) == list(legacy.program.words)
 
     def test_dacapo_matches_legacy(self):
         workload = get_workload("jython", scale=0.01, seed=0)
-        with pytest.warns(DeprecationWarning):
-            spec = dacapo.spec_by_name("jython")
+        spec = dacapo._lookup_spec("jython")
         assert workload.raw == spec
-        with pytest.warns(DeprecationWarning):
-            legacy_events = dacapo.generate_events(spec, scale=0.01, seed=0)
+        legacy_events = np.concatenate(
+            list(dacapo.event_chunks(spec, scale=0.01, seed=0)))
         assert np.array_equal(workload.events(), legacy_events)
 
     def test_dacapo_qualified_name(self):
@@ -82,21 +77,8 @@ class TestRoundTrips:
 
 
 class TestShimsWarnOnce:
-    @pytest.mark.parametrize("call", [
-        lambda: text.generate_text(n_chars=50),
-        lambda: microbench.build_microbench(n_chars=200),
-        lambda: dacapo.spec_by_name("jython"),
-        lambda: dacapo.generate_events(dacapo._spec_by_name("jython"),
-                                       scale=0.005),
-    ])
-    def test_one_deprecation_warning(self, call):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            call()
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "get_workload" in str(deprecations[0].message)
+    """The per-family shims are retired; what the registry delegates
+    to must stay silent."""
 
     def test_event_chunks_stays_quiet(self):
         spec = get_workload("jython").spec
