@@ -49,6 +49,7 @@ from ..store import (
     memory_entries_from_env,
     payload_digest,
 )
+from ..store.base import env_value, parse_flag
 from .spec import SCHEMA_VERSION, WindowSpec
 
 def default_cache_dir() -> pathlib.Path:
@@ -59,7 +60,8 @@ def default_cache_dir() -> pathlib.Path:
 
 
 def cache_enabled_by_env() -> bool:
-    return os.environ.get("REPRO_CACHE", "1") not in ("0", "false", "no")
+    """``REPRO_CACHE`` (default on); a malformed value raises."""
+    return env_value("REPRO_CACHE", parse_flag, True)
 
 
 def resolve_backend(backend: Union[Backend, str, None],

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..store.backend import DISABLED_SPECS
+from ..store.base import parse_flag, parse_float, parse_int
 from ..store.integrity import INTEGRITY_POLICIES
 from ..timing.fastpath import FAST_MODES
 from .integrity import VALIDATE_POLICIES
@@ -32,32 +33,6 @@ from .tracestore import DEFAULT_TRACE_HANDLES
 
 #: Allowed values of :attr:`EngineConfig.failure_policy`.
 FAILURE_POLICIES = ("raise", "retry", "skip")
-
-_FLAG_VALUES = {"1": True, "true": True, "yes": True, "on": True,
-                "0": False, "false": False, "no": False, "off": False}
-
-
-def _int(name: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name}={raw!r}: expected an integer") from None
-
-
-def _float(name: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name}={raw!r}: expected a number") from None
-
-
-def _flag(name: str, raw: str) -> bool:
-    try:
-        return _FLAG_VALUES[raw.lower()]
-    except KeyError:
-        raise ValueError(f"{name}={raw!r}: expected one of "
-                         f"{tuple(_FLAG_VALUES)}") from None
-
 
 def _choice(choices: Tuple[str, ...]) -> Callable[[str, str], str]:
     def parse(name: str, raw: str) -> str:
@@ -77,24 +52,25 @@ def _positive_or_none(parse: Callable[[str, str], Any]):
 #: ``(field, variable, parser)`` for every environment-backed field;
 #: parsers clamp out-of-range numbers and raise on malformed text.
 _ENV_FIELDS: Tuple[Tuple[str, str, Callable[[str, str], Any]], ...] = (
-    ("jobs", "REPRO_JOBS", lambda n, r: max(1, _int(n, r))),
+    ("jobs", "REPRO_JOBS", lambda n, r: max(1, parse_int(n, r))),
     ("fast", "REPRO_FAST", _choice(FAST_MODES)),
-    ("trace_pages", "REPRO_TRACE_PAGES", _flag),
-    ("timeout", "REPRO_TIMEOUT", _positive_or_none(_float)),
-    ("retries", "REPRO_RETRIES", lambda n, r: max(0, _int(n, r))),
-    ("backoff", "REPRO_BACKOFF", lambda n, r: max(0.0, _float(n, r))),
+    ("trace_pages", "REPRO_TRACE_PAGES", parse_flag),
+    ("timeout", "REPRO_TIMEOUT", _positive_or_none(parse_float)),
+    ("retries", "REPRO_RETRIES", lambda n, r: max(0, parse_int(n, r))),
+    ("backoff", "REPRO_BACKOFF", lambda n, r: max(0.0, parse_float(n, r))),
     ("failure_policy", "REPRO_FAILURE_POLICY", _choice(FAILURE_POLICIES)),
     ("fault_rate", "REPRO_FAULT_RATE",
-     lambda n, r: min(max(_float(n, r), 0.0), 0.999999)),
+     lambda n, r: min(max(parse_float(n, r), 0.0), 0.999999)),
     ("integrity", "REPRO_INTEGRITY", _choice(INTEGRITY_POLICIES)),
-    ("validate_every", "REPRO_VALIDATE", _positive_or_none(_int)),
+    ("validate_every", "REPRO_VALIDATE", _positive_or_none(parse_int)),
     ("validate_policy", "REPRO_VALIDATE_POLICY",
      _choice(VALIDATE_POLICIES)),
     ("store_backend", "REPRO_STORE_BACKEND",
      lambda n, r: None if r.lower() in DISABLED_SPECS else r),
-    ("breaker", "REPRO_BREAKER", _flag),
-    ("trace_handles", "REPRO_TRACE_HANDLES", lambda n, r: max(1, _int(n, r))),
-    ("seed", "REPRO_SEED", _int),
+    ("breaker", "REPRO_BREAKER", parse_flag),
+    ("trace_handles", "REPRO_TRACE_HANDLES",
+     lambda n, r: max(1, parse_int(n, r))),
+    ("seed", "REPRO_SEED", parse_int),
 )
 
 

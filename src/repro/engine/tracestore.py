@@ -54,6 +54,7 @@ from ..store import (
     MemoryTier,
     TieredStore,
 )
+from ..store.base import env_value, parse_flag
 from .cache import default_cache_dir, resolve_backend
 
 #: Folded into every trace key and the on-disk layout.  Bump whenever
@@ -76,7 +77,8 @@ DEFAULT_TRACE_HANDLES = 4
 
 
 def trace_enabled_by_env() -> bool:
-    return os.environ.get("REPRO_TRACE", "1") not in ("0", "false", "no")
+    """``REPRO_TRACE`` (default on); a malformed value raises."""
+    return env_value("REPRO_TRACE", parse_flag, True)
 
 
 def default_trace_dir(cache_root: Optional[pathlib.Path] = None) -> pathlib.Path:

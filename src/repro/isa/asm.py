@@ -34,12 +34,13 @@ import re
 from typing import Dict, List
 
 from .instructions import (
+    FIELD_PACKERS,
+    FORMATS,
+    NUM_REGS,
     WORD,
     EncodingError,
     Format,
-    Instruction,
     Op,
-    encode,
 )
 from .program import Program
 from ..core.condition import field_for_interval, nearest_field
@@ -50,6 +51,10 @@ TRAP_BRR_OPCODE = 0x3D
 
 #: Registers may be written r0..r15 or by ABI alias.
 REG_ALIASES = {"sp": 14, "lr": 15}
+
+#: Every register spelling (lower case) -> register number.
+_REGISTERS = {f"r{reg}": reg for reg in range(NUM_REGS)}
+_REGISTERS.update(REG_ALIASES)
 
 
 class AsmError(Exception):
@@ -62,19 +67,16 @@ class AsmError(Exception):
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
-_TOKEN_SPLIT = re.compile(r"[,\s]+")
 _MEM_RE = re.compile(r"^(-?\w+)\((\w+)\)$")
 
 
 def parse_register(token: str) -> int:
-    token = token.lower()
-    if token in REG_ALIASES:
-        return REG_ALIASES[token]
-    if token.startswith("r") and token[1:].isdigit():
-        reg = int(token[1:])
-        if 0 <= reg < 16:
-            return reg
-    raise ValueError(f"not a register: {token!r}")
+    reg = _REGISTERS.get(token)
+    if reg is None:
+        reg = _REGISTERS.get(token.lower())
+        if reg is None:
+            raise ValueError(f"not a register: {token!r}")
+    return reg
 
 
 def parse_int(token: str) -> int:
@@ -97,14 +99,16 @@ def parse_freq(token: str) -> int:
 class _Statement:
     """One assembled statement (pass-1 record)."""
 
+    __slots__ = ("kind", "args", "line_no", "line", "size_words", "address")
+
     def __init__(self, kind: str, args: List[str], line_no: int,
-                 line: str, size_words: int) -> None:
+                 line: str, size_words: int, address: int) -> None:
         self.kind = kind
         self.args = args
         self.line_no = line_no
         self.line = line
         self.size_words = size_words
-        self.address = 0  # filled in by layout
+        self.address = address
 
 
 class Assembler:
@@ -124,9 +128,9 @@ class Assembler:
         source_map: Dict[int, str] = {}
         for stmt in statements:
             emitted = self._emit(stmt, symbols)
-            index = len(words)
-            for offset, word in enumerate(emitted):
-                source_map[index + offset] = stmt.line.strip()
+            line = stmt.line.strip()
+            for index in range(len(words), len(words) + len(emitted)):
+                source_map[index] = line
             words.extend(emitted)
         return Program(words, base=self.base, symbols=symbols,
                        source_map=source_map)
@@ -138,46 +142,46 @@ class Assembler:
         symbols: Dict[str, int] = {}
         address = self.base
         for line_no, raw in enumerate(source.splitlines(), start=1):
-            line = raw.split(";")[0].split("#")[0]
-            text = line.strip()
-            while text:
+            text = raw.partition(";")[0].partition("#")[0].strip()
+            while ":" in text:
                 match = _LABEL_RE.match(text)
-                if match:
-                    label = match.group(1)
-                    if label in symbols:
-                        raise AsmError(f"duplicate label {label!r}", line_no, raw)
-                    symbols[label] = address
-                    text = text[match.end():].strip()
-                    continue
-                stmt = self._parse_statement(text, line_no, raw)
-                stmt.address = address
+                if not match:
+                    break
+                label = match.group(1)
+                if label in symbols:
+                    raise AsmError(f"duplicate label {label!r}", line_no, raw)
+                symbols[label] = address
+                text = text[match.end():].strip()
+            if text:
+                stmt = self._parse_statement(text, line_no, raw, address)
                 address += stmt.size_words * WORD
                 statements.append(stmt)
-                text = ""
         return statements, symbols
 
-    def _parse_statement(self, text: str, line_no: int, raw: str) -> _Statement:
-        tokens = [t for t in _TOKEN_SPLIT.split(text) if t]
+    def _parse_statement(self, text: str, line_no: int, raw: str,
+                         address: int) -> _Statement:
+        tokens = text.replace(",", " ").split()
         mnemonic = tokens[0].lower()
         args = tokens[1:]
+        size = 1
         if mnemonic == ".word":
-            return _Statement(".word", args, line_no, raw, len(args))
-        if mnemonic == ".space":
+            size = len(args)
+        elif mnemonic == ".space":
             try:
-                count = parse_int(args[0])
+                size = parse_int(args[0])
             except (IndexError, ValueError):
                 raise AsmError(".space needs a word count", line_no, raw)
-            return _Statement(".space", [str(count)], line_no, raw, count)
-        if mnemonic == "brr" and self.brr_mode == "trap":
+            args = [str(size)]
+        elif mnemonic == "brr" and self.brr_mode == "trap":
             # Invalid opcode word + 4-byte branch offset (Section 4.1).
-            return _Statement("brr.trap", args, line_no, raw, 2)
-        if mnemonic == "brra" and self.brr_mode == "trap":
-            return _Statement("jmp", args, line_no, raw, 1)
-        if mnemonic == "ret":
-            return _Statement("jr", ["lr"], line_no, raw, 1)
-        if mnemonic == "mov":
-            return _Statement("addi", args + ["0"], line_no, raw, 1)
-        return _Statement(mnemonic, args, line_no, raw, 1)
+            mnemonic, size = "brr.trap", 2
+        elif mnemonic == "brra" and self.brr_mode == "trap":
+            mnemonic = "jmp"
+        elif mnemonic == "ret":
+            mnemonic, args = "jr", ["lr"]
+        elif mnemonic == "mov":
+            mnemonic, args = "addi", args + ["0"]
+        return _Statement(mnemonic, args, line_no, raw, size, address)
 
     # -- pass 2: encode ---------------------------------------------------
 
@@ -202,89 +206,115 @@ class Assembler:
 
     def _emit(self, stmt: _Statement, symbols: Dict[str, int]) -> List[int]:
         try:
-            return self._emit_inner(stmt, symbols)
+            entry = _MNEMONICS.get(stmt.kind)
+            if entry is None:
+                raise ValueError(f"unknown mnemonic {stmt.kind!r}")
+            opcode, operands, pack = entry
+            if pack is None:
+                return operands(self, stmt.args, symbols, stmt)
+            return [opcode | pack(*operands(self, stmt.args, symbols, stmt))]
         except (ValueError, IndexError, EncodingError) as exc:
-            if isinstance(exc, AsmError):
-                raise
             raise AsmError(str(exc), stmt.line_no, stmt.line) from exc
 
-    def _emit_inner(self, stmt: _Statement, symbols: Dict[str, int]) -> List[int]:
-        kind, args = stmt.kind, stmt.args
-        if kind == ".word":
-            return [self._resolve(a, symbols, stmt) & 0xFFFFFFFF for a in args]
-        if kind == ".space":
-            return [0] * int(args[0])
-        if kind == "brr.trap":
-            freq = parse_freq(args[0])
-            if not 0 <= freq < 16:
-                raise ValueError(f"freq field out of range: {freq}")
-            target = self._resolve(args[1], symbols, stmt)
-            # Offset applied by the trap handler relative to the 8-byte
-            # (opcode + offset word) emulated instruction.
-            offset = target - (stmt.address + 2 * WORD)
-            return [
-                (TRAP_BRR_OPCODE << 26) | (freq << 22),
-                offset & 0xFFFFFFFF,
-            ]
-        try:
-            op = Op[kind.upper()]
-        except KeyError:
-            raise ValueError(f"unknown mnemonic {kind!r}")
-        fmt = {
-            Format.R: self._emit_r,
-            Format.I: self._emit_i,
-            Format.LI: self._emit_li,
-            Format.MEM: self._emit_mem,
-            Format.BRANCH: self._emit_branch,
-            Format.JUMP: self._emit_jump,
-            Format.JR: self._emit_jr,
-            Format.BRR: self._emit_brr,
-            Format.MARKER: self._emit_marker,
-            Format.NONE: self._emit_none,
-        }[Instruction(op).format]
-        return [encode(fmt(op, args, symbols, stmt))]
 
-    def _emit_r(self, op, args, symbols, stmt) -> Instruction:
-        rd, ra, rb = (parse_register(a) for a in args[:3])
-        return Instruction(op, rd=rd, ra=ra, rb=rb)
+# -- per-format operand parsers ------------------------------------------
+#
+# Each maps a statement's operand tokens to the ``(rd, ra, rb, imm,
+# freq)`` fields the format's packer (``FIELD_PACKERS``) range-checks
+# and lays out.  Directives and the trap-mode ``brr`` have no packer
+# and return their words directly.
 
-    def _emit_i(self, op, args, symbols, stmt) -> Instruction:
-        rd, ra = parse_register(args[0]), parse_register(args[1])
-        return Instruction(op, rd=rd, ra=ra,
-                           imm=self._resolve(args[2], symbols, stmt))
 
-    def _emit_li(self, op, args, symbols, stmt) -> Instruction:
-        return Instruction(op, rd=parse_register(args[0]),
-                           imm=self._resolve(args[1], symbols, stmt))
+def _operands_r(asm, args, symbols, stmt):
+    return (parse_register(args[0]), parse_register(args[1]),
+            parse_register(args[2]), 0, 0)
 
-    def _emit_mem(self, op, args, symbols, stmt) -> Instruction:
-        rd = parse_register(args[0])
-        match = _MEM_RE.match(args[1])
-        if not match:
-            raise ValueError(f"expected offset(base), got {args[1]!r}")
-        return Instruction(op, rd=rd, ra=parse_register(match.group(2)),
-                           imm=parse_int(match.group(1)))
 
-    def _emit_branch(self, op, args, symbols, stmt) -> Instruction:
-        ra, rb = parse_register(args[0]), parse_register(args[1])
-        return Instruction(op, ra=ra, rb=rb,
-                           imm=self._branch_offset(args[2], symbols, stmt))
+def _operands_i(asm, args, symbols, stmt):
+    return (parse_register(args[0]), parse_register(args[1]), 0,
+            asm._resolve(args[2], symbols, stmt), 0)
 
-    def _emit_jump(self, op, args, symbols, stmt) -> Instruction:
-        return Instruction(op, imm=self._branch_offset(args[0], symbols, stmt))
 
-    def _emit_jr(self, op, args, symbols, stmt) -> Instruction:
-        return Instruction(op, ra=parse_register(args[0]))
+def _operands_li(asm, args, symbols, stmt):
+    return (parse_register(args[0]), 0, 0,
+            asm._resolve(args[1], symbols, stmt), 0)
 
-    def _emit_brr(self, op, args, symbols, stmt) -> Instruction:
-        return Instruction(op, freq=parse_freq(args[0]),
-                           imm=self._branch_offset(args[1], symbols, stmt))
 
-    def _emit_marker(self, op, args, symbols, stmt) -> Instruction:
-        return Instruction(op, imm=parse_int(args[0]))
+def _operands_mem(asm, args, symbols, stmt):
+    rd = parse_register(args[0])
+    match = _MEM_RE.match(args[1])
+    if not match:
+        raise ValueError(f"expected offset(base), got {args[1]!r}")
+    return (rd, parse_register(match.group(2)), 0,
+            parse_int(match.group(1)), 0)
 
-    def _emit_none(self, op, args, symbols, stmt) -> Instruction:
-        return Instruction(op)
+
+def _operands_branch(asm, args, symbols, stmt):
+    return (0, parse_register(args[0]), parse_register(args[1]),
+            asm._branch_offset(args[2], symbols, stmt), 0)
+
+
+def _operands_jump(asm, args, symbols, stmt):
+    return (0, 0, 0, asm._branch_offset(args[0], symbols, stmt), 0)
+
+
+def _operands_jr(asm, args, symbols, stmt):
+    return (0, parse_register(args[0]), 0, 0, 0)
+
+
+def _operands_brr(asm, args, symbols, stmt):
+    return (0, 0, 0, asm._branch_offset(args[1], symbols, stmt),
+            parse_freq(args[0]))
+
+
+def _operands_marker(asm, args, symbols, stmt):
+    return (0, 0, 0, parse_int(args[0]), 0)
+
+
+def _operands_none(asm, args, symbols, stmt):
+    return (0, 0, 0, 0, 0)
+
+
+def _emit_words(asm, args, symbols, stmt):
+    return [asm._resolve(a, symbols, stmt) & 0xFFFFFFFF for a in args]
+
+
+def _emit_space(asm, args, symbols, stmt):
+    return [0] * int(args[0])
+
+
+def _emit_trap_brr(asm, args, symbols, stmt):
+    freq = parse_freq(args[0])
+    if not 0 <= freq < 16:
+        raise ValueError(f"freq field out of range: {freq}")
+    target = asm._resolve(args[1], symbols, stmt)
+    # Offset applied by the trap handler relative to the 8-byte (opcode
+    # + offset word) emulated instruction.
+    offset = target - (stmt.address + 2 * WORD)
+    return [(TRAP_BRR_OPCODE << 26) | (freq << 22), offset & 0xFFFFFFFF]
+
+
+_OPERANDS = {
+    Format.R: _operands_r, Format.I: _operands_i, Format.LI: _operands_li,
+    Format.MEM: _operands_mem, Format.BRANCH: _operands_branch,
+    Format.JUMP: _operands_jump, Format.JR: _operands_jr,
+    Format.BRR: _operands_brr, Format.MARKER: _operands_marker,
+    Format.NONE: _operands_none,
+}
+
+#: Statement kind -> (opcode bits, operand parser, field packer): every
+#: architected mnemonic, plus the directives and trap-mode ``brr``
+#: (packer ``None``: the parser returns the words itself).
+_MNEMONICS = {
+    op.name.lower(): (int(op) << 26, _OPERANDS[FORMATS[op]],
+                      FIELD_PACKERS[FORMATS[op]])
+    for op in Op
+}
+_MNEMONICS.update({
+    ".word": (0, _emit_words, None),
+    ".space": (0, _emit_space, None),
+    "brr.trap": (0, _emit_trap_brr, None),
+})
 
 
 def assemble(source: str, base: int = 0, brr_mode: str = "native") -> Program:

@@ -263,41 +263,67 @@ def _sext(value: int, bits: int) -> int:
     return (value & (sign - 1)) - (value & sign)
 
 
+def _pack_r(rd: int, ra: int, rb: int, imm: int, freq: int) -> int:
+    return (_check_reg(rd, "rd") << 22 | _check_reg(ra, "ra") << 18
+            | _check_reg(rb, "rb") << 14)
+
+
+def _pack_i(rd: int, ra: int, rb: int, imm: int, freq: int) -> int:
+    return (_check_reg(rd, "rd") << 22 | _check_reg(ra, "ra") << 18
+            | _check_signed(imm, 18, "imm"))
+
+
+def _pack_li(rd: int, ra: int, rb: int, imm: int, freq: int) -> int:
+    return _check_reg(rd, "rd") << 22 | _check_signed(imm, 22, "imm")
+
+
+def _pack_mem(rd: int, ra: int, rb: int, imm: int, freq: int) -> int:
+    return (_check_reg(rd, "rd") << 22 | _check_reg(ra, "ra") << 18
+            | _check_signed(imm, 18, "offset"))
+
+
+def _pack_branch(rd: int, ra: int, rb: int, imm: int, freq: int) -> int:
+    return (_check_reg(ra, "ra") << 22 | _check_reg(rb, "rb") << 18
+            | _check_signed(imm, 18, "offset"))
+
+
+def _pack_jump(rd: int, ra: int, rb: int, imm: int, freq: int) -> int:
+    return _check_signed(imm, 26, "offset")
+
+
+def _pack_jr(rd: int, ra: int, rb: int, imm: int, freq: int) -> int:
+    return _check_reg(ra, "ra") << 22
+
+
+def _pack_brr(rd: int, ra: int, rb: int, imm: int, freq: int) -> int:
+    return (_check_unsigned(freq, 4, "freq") << 22
+            | _check_signed(imm, 22, "offset"))
+
+
+def _pack_marker(rd: int, ra: int, rb: int, imm: int, freq: int) -> int:
+    return _check_unsigned(imm, 26, "marker id")
+
+
+def _pack_none(rd: int, ra: int, rb: int, imm: int, freq: int) -> int:
+    return 0
+
+
+#: Format -> ``pack(rd, ra, rb, imm, freq)``: the range-checked
+#: operand bits (25:0) of a word.  The one definition of the field
+#: layout, shared by :func:`encode` and the assembler.
+FIELD_PACKERS = {
+    Format.R: _pack_r, Format.I: _pack_i, Format.LI: _pack_li,
+    Format.MEM: _pack_mem, Format.BRANCH: _pack_branch,
+    Format.JUMP: _pack_jump, Format.JR: _pack_jr, Format.BRR: _pack_brr,
+    Format.MARKER: _pack_marker, Format.NONE: _pack_none,
+}
+
+
 def encode(instr: Instruction) -> int:
     """Encode an instruction into its 32-bit word."""
     op = instr.op
-    word = int(op) << 26
-    fmt = FORMATS[op]
-    if fmt is Format.R:
-        word |= _check_reg(instr.rd, "rd") << 22
-        word |= _check_reg(instr.ra, "ra") << 18
-        word |= _check_reg(instr.rb, "rb") << 14
-    elif fmt is Format.I:
-        word |= _check_reg(instr.rd, "rd") << 22
-        word |= _check_reg(instr.ra, "ra") << 18
-        word |= _check_signed(instr.imm, 18, "imm")
-    elif fmt is Format.LI:
-        word |= _check_reg(instr.rd, "rd") << 22
-        word |= _check_signed(instr.imm, 22, "imm")
-    elif fmt is Format.MEM:
-        word |= _check_reg(instr.rd, "rd") << 22
-        word |= _check_reg(instr.ra, "ra") << 18
-        word |= _check_signed(instr.imm, 18, "offset")
-    elif fmt is Format.BRANCH:
-        word |= _check_reg(instr.ra, "ra") << 22
-        word |= _check_reg(instr.rb, "rb") << 18
-        word |= _check_signed(instr.imm, 18, "offset")
-    elif fmt is Format.JUMP:
-        word |= _check_signed(instr.imm, 26, "offset")
-    elif fmt is Format.JR:
-        word |= _check_reg(instr.ra, "ra") << 22
-    elif fmt is Format.BRR:
-        word |= _check_unsigned(instr.freq, 4, "freq") << 22
-        word |= _check_signed(instr.imm, 22, "offset")
-    elif fmt is Format.MARKER:
-        word |= _check_unsigned(instr.imm, 26, "marker id")
-    # Format.NONE: opcode only.
-    return word
+    return int(op) << 26 | FIELD_PACKERS[FORMATS[op]](
+        instr.rd, instr.ra, instr.rb, instr.imm, instr.freq)
 
 
 _OP_BY_VALUE = {int(op): op for op in Op}

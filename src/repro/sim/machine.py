@@ -22,7 +22,6 @@ from ..core.brr import RandomSource
 from ..isa.instructions import (
     LINK_REG,
     WORD,
-    Instruction,
     InvalidOpcodeError,
     Op,
     decode,
@@ -52,6 +51,122 @@ TrapHandler = Callable[["Machine", int, int], int]
 
 #: Signature of a marker callback.
 MarkerCallback = Callable[["Machine", int, int], None]
+
+
+# ----------------------------------------------------------------------
+# Instruction semantics, dispatched by table.
+#
+# ``Machine._predecode`` turns each fetched word into one plain tuple,
+# cached per PC:
+#
+#     (kind, semantics, rd, ra, rb, imm, freq, target, instr)
+#
+# where ``target`` is the PC-relative branch target precomputed from
+# ``imm`` and ``instr`` is the decoded :class:`Instruction` the trace
+# record carries.  ``kind`` says what ``semantics(machine, regs, entry)``
+# returns:
+#
+# ``_LINE``  straight-line code: the effective address of a memory
+#            access, else ``None``; execution falls through;
+# ``_COND``  conditional transfer (incl. ``brr``): whether it is taken;
+# ``_JUMP``  unconditional transfer: the next PC;
+# ``_HALT``  no semantics function; the machine stops.
+
+_LINE, _COND, _JUMP, _HALT = range(4)
+
+
+def _add(m, r, e): r[e[2]] = (r[e[3]] + r[e[4]]) & _MASK
+def _sub(m, r, e): r[e[2]] = (r[e[3]] - r[e[4]]) & _MASK
+def _and(m, r, e): r[e[2]] = r[e[3]] & r[e[4]]
+def _or(m, r, e): r[e[2]] = r[e[3]] | r[e[4]]
+def _xor(m, r, e): r[e[2]] = r[e[3]] ^ r[e[4]]
+def _shl(m, r, e): r[e[2]] = (r[e[3]] << (r[e[4]] & 31)) & _MASK
+def _shr(m, r, e): r[e[2]] = r[e[3]] >> (r[e[4]] & 31)
+def _mul(m, r, e): r[e[2]] = (r[e[3]] * r[e[4]]) & _MASK
+def _slt(m, r, e): r[e[2]] = int(_signed(r[e[3]]) < _signed(r[e[4]]))
+def _addi(m, r, e): r[e[2]] = (r[e[3]] + e[5]) & _MASK
+def _andi(m, r, e): r[e[2]] = r[e[3]] & (e[5] & _MASK)
+def _ori(m, r, e): r[e[2]] = r[e[3]] | (e[5] & _MASK)
+def _xori(m, r, e): r[e[2]] = r[e[3]] ^ (e[5] & _MASK)
+def _shli(m, r, e): r[e[2]] = (r[e[3]] << (e[5] & 31)) & _MASK
+def _shri(m, r, e): r[e[2]] = r[e[3]] >> (e[5] & 31)
+def _slti(m, r, e): r[e[2]] = int(_signed(r[e[3]]) < e[5])
+def _li(m, r, e): r[e[2]] = e[5] & _MASK
+def _nop(m, r, e): return None
+
+
+def _lw(m, r, e):
+    addr = (r[e[3]] + e[5]) & _MASK
+    r[e[2]] = m.memory.load_word(addr)
+    return addr
+
+
+def _lb(m, r, e):
+    addr = (r[e[3]] + e[5]) & _MASK
+    r[e[2]] = m.memory.load_byte(addr)
+    return addr
+
+
+def _sw(m, r, e):
+    addr = (r[e[3]] + e[5]) & _MASK
+    m.memory.store_word(addr, r[e[2]])
+    return addr
+
+
+def _sb(m, r, e):
+    addr = (r[e[3]] + e[5]) & _MASK
+    m.memory.store_byte(addr, r[e[2]])
+    return addr
+
+
+def _marker(m, r, e):
+    marker_id = e[5]
+    count = m.marker_counts.get(marker_id, 0) + 1
+    m.marker_counts[marker_id] = count
+    for callback in m.marker_callbacks:
+        callback(m, marker_id, count)
+
+
+def _beq(m, r, e): return r[e[3]] == r[e[4]]
+def _bne(m, r, e): return r[e[3]] != r[e[4]]
+def _blt(m, r, e): return _signed(r[e[3]]) < _signed(r[e[4]])
+def _bge(m, r, e): return _signed(r[e[3]]) >= _signed(r[e[4]])
+
+
+def _brr(m, r, e):
+    if m.brr_unit is None:
+        raise MachineError(
+            f"brr at pc={m.pc:#x} but no branch-on-random unit configured"
+        )
+    return m.brr_unit.resolve(e[6])
+
+
+def _jmp(m, r, e): return e[7]
+def _jr(m, r, e): return r[e[3]]
+
+
+def _jal(m, r, e):
+    r[LINK_REG] = (m.pc + WORD) & _MASK
+    return e[7]
+
+
+#: Op -> (kind, semantics function); every architected opcode.
+_SEMANTICS = {
+    Op.ADD: (_LINE, _add), Op.SUB: (_LINE, _sub), Op.AND: (_LINE, _and),
+    Op.OR: (_LINE, _or), Op.XOR: (_LINE, _xor), Op.SHL: (_LINE, _shl),
+    Op.SHR: (_LINE, _shr), Op.MUL: (_LINE, _mul), Op.SLT: (_LINE, _slt),
+    Op.ADDI: (_LINE, _addi), Op.ANDI: (_LINE, _andi),
+    Op.ORI: (_LINE, _ori), Op.XORI: (_LINE, _xori),
+    Op.SHLI: (_LINE, _shli), Op.SHRI: (_LINE, _shri),
+    Op.SLTI: (_LINE, _slti), Op.LI: (_LINE, _li),
+    Op.LW: (_LINE, _lw), Op.LB: (_LINE, _lb), Op.SW: (_LINE, _sw),
+    Op.SB: (_LINE, _sb), Op.MARKER: (_LINE, _marker), Op.NOP: (_LINE, _nop),
+    Op.BEQ: (_COND, _beq), Op.BNE: (_COND, _bne), Op.BLT: (_COND, _blt),
+    Op.BGE: (_COND, _bge), Op.BRR: (_COND, _brr),
+    Op.JMP: (_JUMP, _jmp), Op.BRRA: (_JUMP, _jmp), Op.JAL: (_JUMP, _jal),
+    Op.JR: (_JUMP, _jr),
+    Op.HALT: (_HALT, None),
+}
 
 
 @dataclass
@@ -107,7 +222,8 @@ class Machine:
         self.marker_counts: Dict[int, int] = {}
         self.marker_callbacks: List[MarkerCallback] = []
         self.trap_handlers: Dict[int, TrapHandler] = {}
-        self._decode_cache: Dict[int, Instruction] = {}
+        #: PC -> predecoded dispatch entry (see ``_SEMANTICS``).
+        self._decode_cache: Dict[int, tuple] = {}
         self._decode_cache_limit = max(
             1, self.DECODE_CACHE_LIMIT if decode_cache_limit is None
             else decode_cache_limit)
@@ -123,17 +239,25 @@ class Machine:
     def on_marker(self, callback: MarkerCallback) -> None:
         self.marker_callbacks.append(callback)
 
-    def _decode(self, pc: int) -> Instruction:
-        cached = self._decode_cache.get(pc)
-        if cached is None:
-            cached = decode(self.memory.load_word(pc), pc=pc)
-            if len(self._decode_cache) >= self._decode_cache_limit:
-                # FIFO eviction (dicts preserve insertion order): O(1)
-                # and good enough for code, whose working set is tiny
-                # next to the limit.
-                self._decode_cache.pop(next(iter(self._decode_cache)))
-            self._decode_cache[pc] = cached
-        return cached
+    def _predecode(self, pc: int) -> tuple:
+        """Decode the word at ``pc`` into its dispatch entry and cache it.
+
+        Raises :class:`InvalidOpcodeError` for an un-architected word,
+        which is never cached: the trap handler runs on every visit.
+        """
+        instr = decode(self.memory.load_word(pc), pc=pc)
+        kind, semantics = _SEMANTICS[instr.op]
+        imm = instr.imm
+        entry = (kind, semantics, instr.rd, instr.ra, instr.rb, imm,
+                 instr.freq, pc + WORD + imm * WORD, instr)
+        cache = self._decode_cache
+        if len(cache) >= self._decode_cache_limit:
+            # FIFO eviction (dicts preserve insertion order): O(1) and
+            # good enough for code, whose working set is tiny next to
+            # the limit.
+            cache.pop(next(iter(cache)))
+        cache[pc] = entry
+        return entry
 
     def invalidate_decode(self, addr: int) -> None:
         """Drop a cached decode after code has been patched in memory."""
@@ -166,112 +290,43 @@ class Machine:
         if self.halted:
             raise Halted("machine has halted")
         pc = self.pc
-        try:
-            instr = self._decode(pc)
-        except InvalidOpcodeError as exc:
-            handler = self.trap_handlers.get((exc.word >> 26) & 0x3F)
-            if handler is None:
-                raise MachineError(
-                    f"unhandled invalid opcode at pc={pc:#x}"
-                ) from exc
-            next_pc = handler(self, exc.word, pc)
-            self.pc = next_pc
-            self.instret += 1
-            return TraceRecord(pc, None, next_pc, taken=next_pc != pc + 2 * WORD)
-        regs = self.regs
-        op = instr.op
-        taken = False
-        mem_addr: Optional[int] = None
-        next_pc = pc + WORD
-
-        if op is Op.ADD:
-            regs[instr.rd] = (regs[instr.ra] + regs[instr.rb]) & _MASK
-        elif op is Op.ADDI:
-            regs[instr.rd] = (regs[instr.ra] + instr.imm) & _MASK
-        elif op is Op.SUB:
-            regs[instr.rd] = (regs[instr.ra] - regs[instr.rb]) & _MASK
-        elif op is Op.AND:
-            regs[instr.rd] = regs[instr.ra] & regs[instr.rb]
-        elif op is Op.OR:
-            regs[instr.rd] = regs[instr.ra] | regs[instr.rb]
-        elif op is Op.XOR:
-            regs[instr.rd] = regs[instr.ra] ^ regs[instr.rb]
-        elif op is Op.SHL:
-            regs[instr.rd] = (regs[instr.ra] << (regs[instr.rb] & 31)) & _MASK
-        elif op is Op.SHR:
-            regs[instr.rd] = regs[instr.ra] >> (regs[instr.rb] & 31)
-        elif op is Op.MUL:
-            regs[instr.rd] = (regs[instr.ra] * regs[instr.rb]) & _MASK
-        elif op is Op.SLT:
-            regs[instr.rd] = int(_signed(regs[instr.ra]) < _signed(regs[instr.rb]))
-        elif op is Op.ANDI:
-            regs[instr.rd] = regs[instr.ra] & (instr.imm & _MASK)
-        elif op is Op.ORI:
-            regs[instr.rd] = regs[instr.ra] | (instr.imm & _MASK)
-        elif op is Op.XORI:
-            regs[instr.rd] = regs[instr.ra] ^ (instr.imm & _MASK)
-        elif op is Op.SHLI:
-            regs[instr.rd] = (regs[instr.ra] << (instr.imm & 31)) & _MASK
-        elif op is Op.SHRI:
-            regs[instr.rd] = regs[instr.ra] >> (instr.imm & 31)
-        elif op is Op.SLTI:
-            regs[instr.rd] = int(_signed(regs[instr.ra]) < instr.imm)
-        elif op is Op.LI:
-            regs[instr.rd] = instr.imm & _MASK
-        elif op is Op.LW:
-            mem_addr = (regs[instr.ra] + instr.imm) & _MASK
-            regs[instr.rd] = self.memory.load_word(mem_addr)
-        elif op is Op.LB:
-            mem_addr = (regs[instr.ra] + instr.imm) & _MASK
-            regs[instr.rd] = self.memory.load_byte(mem_addr)
-        elif op is Op.SW:
-            mem_addr = (regs[instr.ra] + instr.imm) & _MASK
-            self.memory.store_word(mem_addr, regs[instr.rd])
-        elif op is Op.SB:
-            mem_addr = (regs[instr.ra] + instr.imm) & _MASK
-            self.memory.store_byte(mem_addr, regs[instr.rd])
-        elif op is Op.BEQ:
-            taken = regs[instr.ra] == regs[instr.rb]
-        elif op is Op.BNE:
-            taken = regs[instr.ra] != regs[instr.rb]
-        elif op is Op.BLT:
-            taken = _signed(regs[instr.ra]) < _signed(regs[instr.rb])
-        elif op is Op.BGE:
-            taken = _signed(regs[instr.ra]) >= _signed(regs[instr.rb])
-        elif op is Op.JMP:
+        entry = self._decode_cache.get(pc)
+        if entry is None:
+            try:
+                entry = self._predecode(pc)
+            except InvalidOpcodeError as exc:
+                return self._trap(pc, exc)
+        kind = entry[0]
+        mem_addr = None
+        if kind == _LINE:
+            mem_addr = entry[1](self, self.regs, entry)
+            next_pc = pc + WORD
+            taken = False
+        elif kind == _COND:
+            taken = entry[1](self, self.regs, entry)
+            next_pc = entry[7] if taken else pc + WORD
+        elif kind == _JUMP:
+            next_pc = entry[1](self, self.regs, entry)
             taken = True
-        elif op is Op.JAL:
-            regs[LINK_REG] = (pc + WORD) & _MASK
-            taken = True
-        elif op is Op.JR:
-            taken = True
-            next_pc = regs[instr.ra]
-        elif op is Op.BRR:
-            if self.brr_unit is None:
-                raise MachineError(
-                    f"brr at pc={pc:#x} but no branch-on-random unit configured"
-                )
-            taken = self.brr_unit.resolve(instr.freq)
-        elif op is Op.BRRA:
-            taken = True
-        elif op is Op.MARKER:
-            count = self.marker_counts.get(instr.imm, 0) + 1
-            self.marker_counts[instr.imm] = count
-            for callback in self.marker_callbacks:
-                callback(self, instr.imm, count)
-        elif op is Op.NOP:
-            pass
-        elif op is Op.HALT:
+        else:  # halt
             self.halted = True
             next_pc = pc
-        else:  # pragma: no cover - every opcode is handled above
-            raise MachineError(f"unimplemented opcode {op.name}")
-
-        if taken and op is not Op.JR:
-            next_pc = pc + WORD + instr.imm * WORD
+            taken = False
         self.pc = next_pc
         self.instret += 1
-        return TraceRecord(pc, instr, next_pc, taken, mem_addr)
+        return TraceRecord(pc, entry[8], next_pc, taken, mem_addr)
+
+    def _trap(self, pc: int, exc: InvalidOpcodeError) -> TraceRecord:
+        """Retire an un-architected word through its trap handler."""
+        handler = self.trap_handlers.get((exc.word >> 26) & 0x3F)
+        if handler is None:
+            raise MachineError(
+                f"unhandled invalid opcode at pc={pc:#x}"
+            ) from exc
+        next_pc = handler(self, exc.word, pc)
+        self.pc = next_pc
+        self.instret += 1
+        return TraceRecord(pc, None, next_pc, taken=next_pc != pc + 2 * WORD)
 
     # ------------------------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 from ..isa.instructions import WORD
 from ..isa.program import Program
 
@@ -61,12 +63,16 @@ class Memory:
         return bytes(self._bytes[addr:addr + length])
 
     def load_program(self, program: Program) -> None:
-        """Copy an assembled image into memory at its base address."""
+        """Copy an assembled image into memory at its base address, in
+        one bulk write."""
         end = program.base + program.size_bytes
         if end > self.size:
             raise MemoryError_(
                 f"program image ends at {end:#x}, beyond memory size "
                 f"{self.size:#x}"
             )
-        for index, word in enumerate(program.words):
-            self.store_word(program.base + index * WORD, word)
+        words = program.words
+        if words:
+            self._check(program.base, WORD)
+            self._bytes[program.base:end] = struct.pack(
+                f"<{len(words)}I", *[word & 0xFFFFFFFF for word in words])

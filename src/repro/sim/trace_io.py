@@ -70,20 +70,6 @@ class TraceFormatError(ValueError):
     """Raised for malformed, truncated or wrong-version trace data."""
 
 
-def _write_uvarint(out: BinaryIO, value: int) -> None:
-    """LEB128 unsigned varint."""
-    if value < 0:
-        raise TraceFormatError(f"cannot encode negative value {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.write(bytes((byte | 0x80,)))
-        else:
-            out.write(bytes((byte,)))
-            return
-
-
 def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
     """Decode one LEB128 varint from ``data`` at ``pos``."""
     result = 0
@@ -120,7 +106,17 @@ class TraceWriter:
     :meth:`finish` exactly once to emit the marker index and footer.
     The writer tracks marker firings itself, so the caller needs no
     side channel to build the index.
+
+    Records are encoded into one buffer that is CRC'd and written to
+    the stream every :attr:`CHUNK_BYTES`, so memory stays flat however
+    long the trace; the bytes are those of a record-at-a-time writer.
     """
+
+    #: Flush threshold of the record buffer.
+    CHUNK_BYTES = 1 << 16
+
+    #: Bound on the decoded-instruction memo (see :meth:`_memoise`).
+    INSTR_MEMO_LIMIT = 1 << 16
 
     def __init__(self, stream: BinaryIO) -> None:
         self._stream = stream
@@ -129,6 +125,11 @@ class TraceWriter:
         #: order.  A word's first record carries the full word; every
         #: later one carries only the (small) index.
         self._word_ids: Dict[int, int] = {}
+        #: ``id(instr)`` -> (instr, word id, marker id or -1): each
+        #: decoded instruction object is encoded once, not per record.
+        #: The entry holds ``instr`` itself, so its id cannot be reused
+        #: while the entry lives.
+        self._instr_memo: Dict[int, Tuple[Instruction, int, int]] = {}
         self.n_records = 0
         #: marker id -> list of step indices; entry ``k-1`` is the step
         #: at which the marker's cumulative count reached ``k``.
@@ -138,54 +139,82 @@ class TraceWriter:
         self._crc_header = zlib.crc32(header)
         self._crc_body = 0
         self._body_bytes = _HEADER.size
+        self._buffer = bytearray()
         stream.write(header)
 
     def append(self, record: TraceRecord) -> None:
         if self._finished:
             raise TraceFormatError("writer already finished")
-        out = bytearray()
-        flags = 0
-        if record.taken:
-            flags |= _F_TAKEN
-        if record.mem_addr is not None:
-            flags |= _F_MEM
-        if record.pc == self._prev_next_pc:
-            flags |= _F_SEQ_PC
-        if record.next_pc == record.pc + 4:
-            flags |= _F_SEQ_NEXT
+        out = self._buffer
+        pc = record.pc
+        next_pc = record.next_pc
+        mem_addr = record.mem_addr
         instr = record.instr
+        flags = _F_TAKEN if record.taken else 0
+        if mem_addr is not None:
+            flags |= _F_MEM
+        if pc == self._prev_next_pc:
+            flags |= _F_SEQ_PC
+        if next_pc == pc + 4:
+            flags |= _F_SEQ_NEXT
         if instr is not None:
             flags |= _F_INSTR
         out.append(flags)
         if not flags & _F_SEQ_PC:
-            _append_uvarint(out, record.pc)
+            _append_uvarint(out, pc)
         if instr is not None:
-            word = encode(instr)
-            word_id = self._word_ids.get(word)
-            if word_id is None:
-                word_id = len(self._word_ids)
-                self._word_ids[word] = word_id
-                _append_uvarint(out, word_id)
-                _append_uvarint(out, word)
+            memo = self._instr_memo.get(id(instr))
+            if memo is None:
+                memo = self._memoise(instr, out)
+            elif memo[1] < 0x80:
+                out.append(memo[1])
             else:
-                _append_uvarint(out, word_id)
+                _append_uvarint(out, memo[1])
+            if memo[2] >= 0:
+                self.markers.setdefault(memo[2], []).append(self.n_records)
         if not flags & _F_SEQ_NEXT:
-            _append_uvarint(out, record.next_pc)
-        if record.mem_addr is not None:
-            _append_uvarint(out, record.mem_addr)
+            _append_uvarint(out, next_pc)
+        if mem_addr is not None:
+            _append_uvarint(out, mem_addr)
+        self._prev_next_pc = next_pc
+        self.n_records += 1
+        if len(out) >= self.CHUNK_BYTES:
+            self._flush()
+
+    def _memoise(self, instr: Instruction,
+                 out: bytearray) -> Tuple[Instruction, int, int]:
+        """Encode an instruction object met for the first time: append
+        its word id (plus, on the word's first appearance, the word) to
+        ``out`` and memoise the id for every later record."""
+        word = encode(instr)
+        word_id = self._word_ids.get(word)
+        if word_id is None:
+            word_id = len(self._word_ids)
+            self._word_ids[word] = word_id
+            _append_uvarint(out, word_id)
+            _append_uvarint(out, word)
+        else:
+            _append_uvarint(out, word_id)
+        memo = self._instr_memo
+        if len(memo) >= self.INSTR_MEMO_LIMIT:
+            memo.clear()
+        entry = (instr, word_id, instr.imm if instr.op is Op.MARKER else -1)
+        memo[id(instr)] = entry
+        return entry
+
+    def _flush(self) -> None:
+        out = self._buffer
         self._crc_body = zlib.crc32(out, self._crc_body)
         self._body_bytes += len(out)
         self._stream.write(out)
-        if instr is not None and instr.op is Op.MARKER:
-            self.markers.setdefault(instr.imm, []).append(self.n_records)
-        self._prev_next_pc = record.next_pc
-        self.n_records += 1
+        out.clear()
 
     def finish(self) -> None:
         """Write the marker-index footer; the stream stays open."""
         if self._finished:
             return
         self._finished = True
+        self._flush()
         out = self._stream
         index_offset = self._body_bytes
         index = {

@@ -41,7 +41,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional
 
-from .base import TierCounters
+from .base import TierCounters, env_value, parse_float, parse_int
 
 #: Backend specs that mean "no shared backend".
 DISABLED_SPECS = ("", "0", "none", "off", "no")
@@ -351,27 +351,18 @@ class CircuitBreakerBackend(Backend):
 
 
 def breaker_from_env(inner: Backend) -> CircuitBreakerBackend:
-    """A breaker around ``inner``, tuned by ``REPRO_BREAKER_*``."""
-    def _float(name: str, default: float) -> float:
-        try:
-            return float(os.environ.get(name, "") or default)
-        except ValueError:
-            return default
-
-    def _int(name: str, default: int) -> int:
-        try:
-            return int(os.environ.get(name, "") or default)
-        except ValueError:
-            return default
-
-    timeout = _float("REPRO_BREAKER_TIMEOUT", 5.0)
+    """A breaker around ``inner``, tuned by ``REPRO_BREAKER_*``; a
+    malformed value raises ``ValueError`` naming the variable."""
+    timeout = env_value("REPRO_BREAKER_TIMEOUT", parse_float, 5.0)
     return CircuitBreakerBackend(
         inner,
-        failures=max(1, _int("REPRO_BREAKER_FAILURES", 5)),
-        reset_after=max(0.0, _float("REPRO_BREAKER_RESET", 30.0)),
+        failures=max(1, env_value("REPRO_BREAKER_FAILURES", parse_int, 5)),
+        reset_after=max(0.0, env_value("REPRO_BREAKER_RESET", parse_float,
+                                       30.0)),
         call_timeout=timeout if timeout > 0 else None,
-        retries=max(0, _int("REPRO_BREAKER_RETRIES", 1)),
-        backoff=max(0.0, _float("REPRO_BREAKER_BACKOFF", 0.05)),
+        retries=max(0, env_value("REPRO_BREAKER_RETRIES", parse_int, 1)),
+        backoff=max(0.0, env_value("REPRO_BREAKER_BACKOFF", parse_float,
+                                   0.05)),
     )
 
 

@@ -19,7 +19,7 @@ import os
 import pathlib
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 try:  # pragma: no cover - import cosmetics
     from typing import Protocol
@@ -112,12 +112,37 @@ def atomic_write_with(path: pathlib.Path,
     return result, True
 
 
-def env_int(name: str, default: Optional[int] = None) -> Optional[int]:
-    """An integer environment knob, ``default`` when unset/garbled."""
-    raw = os.environ.get(name)
-    if not raw:
-        return default
+_FLAG_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                "0": False, "false": False, "no": False, "off": False}
+
+
+def parse_int(name: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        return default
+        raise ValueError(f"{name}={raw!r}: expected an integer") from None
+
+
+def parse_float(name: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r}: expected a number") from None
+
+
+def parse_flag(name: str, raw: str) -> bool:
+    try:
+        return _FLAG_VALUES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"{name}={raw!r}: expected one of "
+                         f"{tuple(_FLAG_VALUES)}") from None
+
+
+def env_value(name: str, parse: Callable[[str, str], Any], default: Any) -> Any:
+    """Environment variable ``name`` parsed by ``parse(name, raw)``;
+    ``default`` when unset or blank.  A malformed value raises
+    ``ValueError`` naming the variable — it never falls back silently.
+    The ``REPRO_*`` engine variables (:mod:`repro.engine.config`) and
+    the store-level ones share these parsers."""
+    raw = os.environ.get(name, "").strip()
+    return parse(name, raw) if raw else default

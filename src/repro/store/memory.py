@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
-from .base import TierCounters, env_int
+from .base import TierCounters, env_value, parse_int
 
 #: Default bounds of the result cache's memory tier; override with
 #: ``REPRO_MEM_ENTRIES`` / ``REPRO_MEM_BYTES`` or per-store arguments.
@@ -31,11 +31,13 @@ DEFAULT_MEMORY_BYTES = 64 << 20
 
 
 def memory_entries_from_env() -> int:
-    return max(0, env_int("REPRO_MEM_ENTRIES", DEFAULT_MEMORY_ENTRIES))
+    return max(0, env_value("REPRO_MEM_ENTRIES", parse_int,
+                          DEFAULT_MEMORY_ENTRIES))
 
 
 def memory_bytes_from_env() -> int:
-    return max(0, env_int("REPRO_MEM_BYTES", DEFAULT_MEMORY_BYTES))
+    return max(0, env_value("REPRO_MEM_BYTES", parse_int,
+                          DEFAULT_MEMORY_BYTES))
 
 
 class MemoryTier:

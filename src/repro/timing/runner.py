@@ -240,10 +240,11 @@ def record_window(
     sink = open(path, "wb") if path is not None else io.BytesIO()
     try:
         writer = TraceWriter(sink)
+        step, append = machine.step, writer.append
         steps = 0
         while (not machine.halted
                and machine.marker_counts.get(marker_id, 0) < target):
-            writer.append(machine.step())
+            append(step())
             steps += 1
             if steps > max_steps:
                 raise RuntimeError(

@@ -146,3 +146,26 @@ class TestCostTable:
 
     def test_format_reports_claims_hold(self):
         assert "HOLD" in format_cost_table()
+
+
+class TestBenchFrontEnd:
+    """``repro bench`` measures the cold front end (build + record)
+    per window and per figure, next to the replay kernels."""
+
+    def test_front_end_fields(self):
+        from repro.experiments.bench_timing import bench_timing, format_bench
+        from repro.experiments.fig13 import microbench_window_spec
+
+        spec = microbench_window_spec(40, "no-dup", seed=0, kind="brr",
+                                      interval=64)
+        data = bench_timing([spec])
+        row = data["windows"][0]
+        assert row["identical"]
+        assert row["build_s"] >= 0 and row["record_s"] > 0
+        assert row["record_steps_per_s"] == pytest.approx(
+            row["records"] / row["record_s"], rel=0.01)
+        figure = data["figures"]["figure13"]
+        assert figure["build_s"] == row["build_s"]
+        assert figure["record_s"] == row["record_s"]
+        assert figure["record_steps_per_s"] > 0
+        assert "record/s" in format_bench(data)

@@ -363,3 +363,69 @@ class TestCacheStoreSelector:
             tiers = stats[store]["tiers"]
             assert set(tiers) == {"memory", "disk", "backend"}
             assert "hits" in tiers["disk"]
+
+
+class TestStoreEnvParsing:
+    """The store-level variables parse strictly, like the engine's:
+    every flag spelling works and a malformed value names itself."""
+
+    @pytest.mark.parametrize("name", ["REPRO_CACHE", "REPRO_TRACE"])
+    @pytest.mark.parametrize("raw,enabled", [
+        ("off", False), ("0", False), ("No", False), ("FALSE", False),
+        ("on", True), ("1", True), ("yes", True), ("", True),
+    ])
+    def test_store_flags(self, monkeypatch, name, raw, enabled):
+        from repro.engine.cache import cache_enabled_by_env
+        from repro.engine.tracestore import trace_enabled_by_env
+
+        monkeypatch.setenv(name, raw)
+        read = (cache_enabled_by_env if name == "REPRO_CACHE"
+                else trace_enabled_by_env)
+        assert read() is enabled
+
+    @pytest.mark.parametrize("name,raw", [
+        ("REPRO_CACHE", "disabled"),
+        ("REPRO_TRACE", "2"),
+        ("REPRO_MEM_ENTRIES", "many"),
+        ("REPRO_MEM_BYTES", "64M"),
+    ])
+    def test_garbage_rejected(self, monkeypatch, tmp_path, name, raw):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError, match=f"{name}={raw!r}"):
+            ExperimentEngine(config=EngineConfig())
+
+    @pytest.mark.parametrize("name,raw", [
+        ("REPRO_BREAKER_FAILURES", "five"),
+        ("REPRO_BREAKER_RESET", "soon"),
+        ("REPRO_BREAKER_TIMEOUT", "5s"),
+        ("REPRO_BREAKER_RETRIES", "1.5"),
+        ("REPRO_BREAKER_BACKOFF", "x"),
+    ])
+    def test_breaker_garbage_rejected(self, monkeypatch, tmp_path, name,
+                                      raw):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError, match=f"{name}={raw!r}"):
+            ResultCache(root=tmp_path / "cache",
+                        backend=f"fs://{tmp_path / 'shared'}")
+
+    def test_memory_bounds_read(self, monkeypatch):
+        from repro.store import memory_bytes_from_env, memory_entries_from_env
+
+        monkeypatch.setenv("REPRO_MEM_ENTRIES", "7")
+        monkeypatch.setenv("REPRO_MEM_BYTES", "-1")
+        assert memory_entries_from_env() == 7
+        assert memory_bytes_from_env() == 0
+
+    @pytest.mark.parametrize("name,raw", [
+        ("REPRO_CACHE", "maybe"),
+        ("REPRO_TRACE", "enabled"),
+        ("REPRO_MEM_ENTRIES", "lots"),
+        ("REPRO_MEM_BYTES", "1e6"),
+    ])
+    def test_cli_usage_error(self, monkeypatch, capsys, tmp_path, name, raw):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cost", "--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert f"{name}={raw!r}" in capsys.readouterr().err

@@ -18,7 +18,7 @@ from repro.sim import (
     trace_from_records,
     write_trace,
 )
-from repro.sim.trace_io import _read_uvarint, _write_uvarint
+from repro.sim.trace_io import _append_uvarint, _read_uvarint
 
 LOOP_WITH_MARKERS = """
     marker 1
@@ -45,20 +45,20 @@ class TestUvarint:
     @pytest.mark.parametrize("value", [0, 1, 127, 128, 300, 16384,
                                        2**32 - 1, 2**35 + 17])
     def test_round_trip(self, value):
-        out = io.BytesIO()
-        _write_uvarint(out, value)
-        decoded, pos = _read_uvarint(out.getvalue(), 0)
+        out = bytearray()
+        _append_uvarint(out, value)
+        decoded, pos = _read_uvarint(bytes(out), 0)
         assert decoded == value
-        assert pos == len(out.getvalue())
+        assert pos == len(out)
 
     def test_single_byte_below_128(self):
-        out = io.BytesIO()
-        _write_uvarint(out, 127)
-        assert out.getvalue() == b"\x7f"
+        out = bytearray()
+        _append_uvarint(out, 127)
+        assert out == b"\x7f"
 
     def test_negative_rejected(self):
         with pytest.raises(TraceFormatError):
-            _write_uvarint(io.BytesIO(), -1)
+            _append_uvarint(bytearray(), -1)
 
     def test_truncated_rejected(self):
         with pytest.raises(TraceFormatError):
