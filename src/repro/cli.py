@@ -295,7 +295,8 @@ def _doctor_command(args, engine: ExperimentEngine) -> Tuple[Any, str, int]:
     return report, format_doctor(report), code
 
 
-def _serve_command(args, engine: ExperimentEngine) -> int:
+def _serve_command(args, engine: ExperimentEngine,
+                   parser: argparse.ArgumentParser) -> int:
     """``repro serve``: the multi-tenant HTTP simulation service.
 
     Blocks until interrupted or drained.  SIGTERM (and
@@ -310,7 +311,11 @@ def _serve_command(args, engine: ExperimentEngine) -> int:
 
     from .serve import ReproServer, SimulationService
 
-    service = SimulationService(engine=engine, workers=max(1, args.workers))
+    try:
+        service = SimulationService(engine=engine,
+                                    workers=max(1, args.workers))
+    except ValueError as exc:  # a malformed REPRO_SERVE_* value
+        parser.error(str(exc))
     server = ReproServer(service=service, host=args.host, port=args.port)
 
     async def _run() -> None:
@@ -607,7 +612,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(str(exc))
 
     if args.command == "serve":
-        return _serve_command(args, engine)
+        return _serve_command(args, engine, parser)
 
     if args.command == "chaos-serve":
         data, text, code = _chaos_serve_command(args, out_dir)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -138,13 +137,6 @@ class EngineConfig:
     trace_pages: bool = True
 
     def __post_init__(self) -> None:
-        if isinstance(self.fast, bool):
-            warnings.warn(
-                "EngineConfig(fast=True/False) is deprecated; pass "
-                "fast='vector' or fast='off'",
-                DeprecationWarning, stacklevel=3)
-            object.__setattr__(self, "fast",
-                               "vector" if self.fast else "off")
         if self.fast not in FAST_MODES:
             raise ValueError(
                 f"fast must be one of {FAST_MODES}, got {self.fast!r}")

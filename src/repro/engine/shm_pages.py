@@ -147,19 +147,16 @@ def _columns_from_buffer(buf: memoryview, meta: Dict[str, object]
     n = int(meta["n_records"])
     n_words = int(meta["n_words"])
     offset = _pad(8 + int(meta["header_bytes"]))
-    cols = TraceColumns.__new__(TraceColumns)
-    cols.n_records = n
+    columns = {}
     for field in ("pc", "word_id", "next_pc", "mem_addr"):
-        setattr(cols, field,
-                buf[offset:offset + 8 * n].cast("q"))
+        columns[field] = buf[offset:offset + 8 * n].cast("q")
         offset += 8 * n
-    cols.taken = buf[offset:offset + n]
+    taken = buf[offset:offset + n]
     offset = _pad(offset + n)
     words = buf[offset:offset + 8 * n_words].cast("q")
-    cols.instrs = [decode(word) for word in words]
-    cols.has_trapped = bool(meta["has_trapped"])
-    cols.vec_cache = None
-    return cols
+    return TraceColumns.from_arrays(
+        taken=taken, instrs=[decode(word) for word in words],
+        has_trapped=bool(meta["has_trapped"]), **columns)
 
 
 def _pack_into(buf: memoryview, trace, header: bytes) -> None:

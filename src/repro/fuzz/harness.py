@@ -13,7 +13,10 @@ codebase has for producing :class:`~repro.timing.pipeline.TimingStats`:
 * ``trap`` — the two-word trap-emulated ``brr`` encoding, compared on
   the encoding-independent *functional* projection (checksum, marker
   counts, branch-on-random resolutions) because its code addresses and
-  therefore its timing legitimately differ.
+  therefore its timing legitimately differ;
+* ``columns`` — the replay columns :func:`~repro.timing.runner.record_window`
+  fills in the pass that writes a trace, against a fresh decode of
+  that trace's bytes (``columns:recorded-vs-decoded``).
 
 Stats are diffed as canonical JSON; any divergence is shrunk to a
 1-minimal program (no single block can be removed and still diverge)
@@ -196,6 +199,41 @@ def _functional_payloads(adversarial: AdversarialProgram,
     return payloads
 
 
+def _columns_payload(columns) -> Dict[str, Any]:
+    """Every column field, the per-record buffers as digests so a diff
+    stays small."""
+    payload: Dict[str, Any] = {
+        name: _body_digest(bytes(getattr(columns, name)))
+        for name in columns.ARRAYS
+    }
+    payload["instrs"] = _body_digest(repr(columns.instrs).encode())
+    payload["n_records"] = columns.n_records
+    payload["has_trapped"] = columns.has_trapped
+    return payload
+
+
+def _columns_payloads(adversarial: AdversarialProgram,
+                      fault: Optional[FaultHook]
+                      ) -> Dict[str, Dict[str, Any]]:
+    """The columns the recorder filled beside the bytes it wrote, and a
+    fresh decode of those bytes."""
+    from ..sim.trace_io import RecordedTrace
+    from ..timing.runner import record_window
+
+    trace = record_window(adversarial.program(), end=_END,
+                          brr_unit=adversarial.brr_unit(),
+                          setup=adversarial.setup)
+    payloads = {
+        "recorded": _columns_payload(trace.columns()),
+        "decoded": _columns_payload(RecordedTrace(trace._data).columns()),
+    }
+    if fault is not None:
+        payloads = {path: fault(f"columns:{path}", adversarial.source(),
+                                payload)
+                    for path, payload in payloads.items()}
+    return payloads
+
+
 #: (path, reference) pairs diffed per timing configuration.
 TIMING_PAIRS: Tuple[Tuple[str, str], ...] = (
     ("golden", "lockstep"),
@@ -226,6 +264,11 @@ def _window_divergences(adversarial: AdversarialProgram,
     if _canonical(functional["trap"]) != _canonical(functional["native"]):
         fields, details = _diff(functional["trap"], functional["native"])
         found.append(("functional:trap-vs-native", fields, details))
+    columns = _columns_payloads(adversarial, fault)
+    compared += 1
+    if _canonical(columns["recorded"]) != _canonical(columns["decoded"]):
+        fields, details = _diff(columns["recorded"], columns["decoded"])
+        found.append(("columns:recorded-vs-decoded", fields, details))
     return found, compared
 
 

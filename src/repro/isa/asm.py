@@ -31,7 +31,7 @@ microarchitectural).
 from __future__ import annotations
 
 import re
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .instructions import (
     FIELD_PACKERS,
@@ -97,14 +97,17 @@ def parse_freq(token: str) -> int:
 
 
 class _Statement:
-    """One assembled statement (pass-1 record)."""
+    """One assembled statement (pass-1 record).  ``text`` is the
+    statement with its label and comment stripped."""
 
-    __slots__ = ("kind", "args", "line_no", "line", "size_words", "address")
+    __slots__ = ("kind", "args", "text", "line_no", "line", "size_words",
+                 "address")
 
-    def __init__(self, kind: str, args: List[str], line_no: int,
+    def __init__(self, kind: str, args: List[str], text: str, line_no: int,
                  line: str, size_words: int, address: int) -> None:
         self.kind = kind
         self.args = args
+        self.text = text
         self.line_no = line_no
         self.line = line
         self.size_words = size_words
@@ -123,11 +126,23 @@ class Assembler:
     # -- public entry ---------------------------------------------------
 
     def assemble(self, source: str) -> Program:
+        """Assemble ``source``.
+
+        Generated code repeats a few statement texts many times, so
+        within this call each distinct text is parsed once and, unless
+        its encoding depends on its own address (PC-relative branches,
+        jumps and ``brr``), encoded once.  Nothing is kept across calls.
+        """
         statements, symbols = self._parse_and_layout(source)
         words: List[int] = []
         source_map: Dict[int, str] = {}
+        encoded: Dict[str, List[int]] = {}
         for stmt in statements:
-            emitted = self._emit(stmt, symbols)
+            emitted = encoded.get(stmt.text)
+            if emitted is None:
+                emitted = self._emit(stmt, symbols)
+                if stmt.kind not in _PC_RELATIVE:
+                    encoded[stmt.text] = emitted
             line = stmt.line.strip()
             for index in range(len(words), len(words) + len(emitted)):
                 source_map[index] = line
@@ -140,6 +155,7 @@ class Assembler:
     def _parse_and_layout(self, source: str):
         statements: List[_Statement] = []
         symbols: Dict[str, int] = {}
+        parsed: Dict[str, Tuple[str, List[str], int]] = {}
         address = self.base
         for line_no, raw in enumerate(source.splitlines(), start=1):
             text = raw.partition(";")[0].partition("#")[0].strip()
@@ -153,13 +169,19 @@ class Assembler:
                 symbols[label] = address
                 text = text[match.end():].strip()
             if text:
-                stmt = self._parse_statement(text, line_no, raw, address)
-                address += stmt.size_words * WORD
-                statements.append(stmt)
+                shape = parsed.get(text)
+                if shape is None:
+                    shape = parsed[text] = self._parse_statement(
+                        text, line_no, raw)
+                kind, args, size = shape
+                statements.append(_Statement(kind, args, text, line_no, raw,
+                                             size, address))
+                address += size * WORD
         return statements, symbols
 
-    def _parse_statement(self, text: str, line_no: int, raw: str,
-                         address: int) -> _Statement:
+    def _parse_statement(self, text: str, line_no: int,
+                         raw: str) -> Tuple[str, List[str], int]:
+        """A statement's (kind, operand tokens, size in words)."""
         tokens = text.replace(",", " ").split()
         mnemonic = tokens[0].lower()
         args = tokens[1:]
@@ -181,7 +203,7 @@ class Assembler:
             mnemonic, args = "jr", ["lr"]
         elif mnemonic == "mov":
             mnemonic, args = "addi", args + ["0"]
-        return _Statement(mnemonic, args, line_no, raw, size, address)
+        return mnemonic, args, size
 
     # -- pass 2: encode ---------------------------------------------------
 
@@ -315,6 +337,12 @@ _MNEMONICS.update({
     ".space": (0, _emit_space, None),
     "brr.trap": (0, _emit_trap_brr, None),
 })
+
+#: Statement kinds whose words depend on the statement's own address.
+_PC_RELATIVE = frozenset(
+    [op.name.lower() for op in Op
+     if FORMATS[op] in (Format.BRANCH, Format.JUMP, Format.BRR)]
+    + ["brr.trap"])
 
 
 def assemble(source: str, base: int = 0, brr_mode: str = "native") -> Program:

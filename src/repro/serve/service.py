@@ -39,12 +39,12 @@ import asyncio
 import contextlib
 import dataclasses
 import json
-import os
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..engine import ExperimentEngine
+from ..store.base import env_value, parse_float, parse_int
 
 #: Default per-request deadline in seconds (``None`` = no deadline).
 TIMEOUT_ENV = "REPRO_SERVE_TIMEOUT"
@@ -65,26 +65,15 @@ DEFAULT_DRAIN_TIMEOUT = 30.0
 DEFAULT_TENANT = "anonymous"
 
 
-def _env_positive_float(name: str,
-                        default: Optional[float]) -> Optional[float]:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
+def _positive_or_none(name: str, raw: str) -> Optional[float]:
+    """Seconds; zero or negative means none (no deadline, no cap, an
+    unbounded drain wait)."""
+    value = parse_float(name, raw)
     return value if value > 0 else None
 
 
-def _env_positive_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
+def _at_least_one(name: str, raw: str) -> int:
+    return max(1, parse_int(name, raw))
 
 
 class RequestError(ValueError):
@@ -313,20 +302,23 @@ class SimulationService:
         #: and the engine's recorder/counters are not thread-safe.
         self._engine_lock = threading.Lock()
         # -- resilience knobs (constructor wins, else REPRO_SERVE_*) --
+        # A malformed value raises ValueError naming the variable.
         self.queue_limit = (queue_limit if queue_limit is not None
-                            else _env_positive_int(QUEUE_ENV,
-                                                   DEFAULT_QUEUE_LIMIT))
+                            else env_value(QUEUE_ENV, _at_least_one,
+                                           DEFAULT_QUEUE_LIMIT))
         self.tenant_quota = (tenant_quota if tenant_quota is not None
-                             else _env_positive_int(TENANT_QUOTA_ENV,
-                                                    DEFAULT_TENANT_QUOTA))
+                             else env_value(TENANT_QUOTA_ENV, _at_least_one,
+                                            DEFAULT_TENANT_QUOTA))
         self.default_timeout = (default_timeout if default_timeout is not None
-                                else _env_positive_float(TIMEOUT_ENV, None))
+                                else env_value(TIMEOUT_ENV, _positive_or_none,
+                                               None))
         self.max_timeout = (max_timeout if max_timeout is not None
-                            else _env_positive_float(MAX_TIMEOUT_ENV,
-                                                     DEFAULT_MAX_TIMEOUT))
+                            else env_value(MAX_TIMEOUT_ENV, _positive_or_none,
+                                           DEFAULT_MAX_TIMEOUT))
         self.drain_timeout = (drain_timeout if drain_timeout is not None
-                              else _env_positive_float(
-                                  DRAIN_TIMEOUT_ENV, DEFAULT_DRAIN_TIMEOUT))
+                              else env_value(DRAIN_TIMEOUT_ENV,
+                                             _positive_or_none,
+                                             DEFAULT_DRAIN_TIMEOUT))
         #: Currently-admitted requests (every waiter, coalesced or not).
         self._active = 0
         self._tenants: Dict[str, TenantCounters] = {}

@@ -27,7 +27,10 @@ simulator.  The format is built for that consumer:
 Streams are written through :class:`TraceWriter` (incremental, so the
 recording machine never materialises the trace in memory) and read
 back through :class:`RecordedTrace`, whose :meth:`~RecordedTrace.records`
-iterator decodes lazily.
+iterator decodes lazily.  :func:`record_trace` is the recording loop
+itself: it executes a machine and writes the writer's bytes and the
+replay columns (:class:`TraceColumns`) in one pass, so a fresh
+recording is never decoded.
 """
 
 from __future__ import annotations
@@ -40,7 +43,14 @@ import zlib
 from array import array
 from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..isa.instructions import Instruction, Op, decode, encode
+from ..isa.instructions import (
+    Instruction,
+    InvalidOpcodeError,
+    Op,
+    decode,
+    encode,
+)
+from .machine import _COND, _JUMP, _LINE
 from .trace import TraceRecord
 
 #: File magic, also used as the footer terminator.
@@ -115,9 +125,6 @@ class TraceWriter:
     #: Flush threshold of the record buffer.
     CHUNK_BYTES = 1 << 16
 
-    #: Bound on the decoded-instruction memo (see :meth:`_memoise`).
-    INSTR_MEMO_LIMIT = 1 << 16
-
     def __init__(self, stream: BinaryIO) -> None:
         self._stream = stream
         self._prev_next_pc: Optional[int] = None
@@ -125,11 +132,6 @@ class TraceWriter:
         #: order.  A word's first record carries the full word; every
         #: later one carries only the (small) index.
         self._word_ids: Dict[int, int] = {}
-        #: ``id(instr)`` -> (instr, word id, marker id or -1): each
-        #: decoded instruction object is encoded once, not per record.
-        #: The entry holds ``instr`` itself, so its id cannot be reused
-        #: while the entry lives.
-        self._instr_memo: Dict[int, Tuple[Instruction, int, int]] = {}
         self.n_records = 0
         #: marker id -> list of step indices; entry ``k-1`` is the step
         #: at which the marker's cumulative count reached ``k``.
@@ -163,15 +165,17 @@ class TraceWriter:
         if not flags & _F_SEQ_PC:
             _append_uvarint(out, pc)
         if instr is not None:
-            memo = self._instr_memo.get(id(instr))
-            if memo is None:
-                memo = self._memoise(instr, out)
-            elif memo[1] < 0x80:
-                out.append(memo[1])
+            word = encode(instr)
+            word_id = self._word_ids.get(word)
+            if word_id is None:
+                word_id = len(self._word_ids)
+                self._word_ids[word] = word_id
+                _append_uvarint(out, word_id)
+                _append_uvarint(out, word)
             else:
-                _append_uvarint(out, memo[1])
-            if memo[2] >= 0:
-                self.markers.setdefault(memo[2], []).append(self.n_records)
+                _append_uvarint(out, word_id)
+            if instr.op is Op.MARKER:
+                self.markers.setdefault(instr.imm, []).append(self.n_records)
         if not flags & _F_SEQ_NEXT:
             _append_uvarint(out, next_pc)
         if mem_addr is not None:
@@ -180,27 +184,6 @@ class TraceWriter:
         self.n_records += 1
         if len(out) >= self.CHUNK_BYTES:
             self._flush()
-
-    def _memoise(self, instr: Instruction,
-                 out: bytearray) -> Tuple[Instruction, int, int]:
-        """Encode an instruction object met for the first time: append
-        its word id (plus, on the word's first appearance, the word) to
-        ``out`` and memoise the id for every later record."""
-        word = encode(instr)
-        word_id = self._word_ids.get(word)
-        if word_id is None:
-            word_id = len(self._word_ids)
-            self._word_ids[word] = word_id
-            _append_uvarint(out, word_id)
-            _append_uvarint(out, word)
-        else:
-            _append_uvarint(out, word_id)
-        memo = self._instr_memo
-        if len(memo) >= self.INSTR_MEMO_LIMIT:
-            memo.clear()
-        entry = (instr, word_id, instr.imm if instr.op is Op.MARKER else -1)
-        memo[id(instr)] = entry
-        return entry
 
     def _flush(self) -> None:
         out = self._buffer
@@ -265,6 +248,9 @@ class TraceColumns:
     __slots__ = ("n_records", "pc", "word_id", "next_pc", "taken",
                  "mem_addr", "instrs", "has_trapped", "vec_cache")
 
+    #: The per-record buffers.
+    ARRAYS = ("pc", "word_id", "next_pc", "taken", "mem_addr")
+
     def __init__(self, n_records: int) -> None:
         self.n_records = n_records
         zeros = bytes(8 * n_records)
@@ -280,6 +266,20 @@ class TraceColumns:
         #: precomputations (word tables, event passes) across the many
         #: replays that share this decode.  ``None`` until first use.
         self.vec_cache = None
+
+    @classmethod
+    def from_arrays(cls, pc, word_id, next_pc, taken, mem_addr,
+                    instrs: List[Instruction],
+                    has_trapped: bool) -> "TraceColumns":
+        """Wrap already-filled column buffers (no copy)."""
+        cols = cls.__new__(cls)
+        cols.n_records = len(pc)
+        cols.pc, cols.word_id, cols.next_pc = pc, word_id, next_pc
+        cols.taken, cols.mem_addr = taken, mem_addr
+        cols.instrs = instrs
+        cols.has_trapped = has_trapped
+        cols.vec_cache = None
+        return cols
 
     def __len__(self) -> int:
         return self.n_records
@@ -422,6 +422,16 @@ class RecordedTrace:
             raise TraceFormatError(
                 f"{end - pos} trailing byte(s) after the last record")
 
+    def adopt_columns(self, columns: TraceColumns) -> None:
+        """Serve ``columns`` — filled by the recorder that wrote these
+        bytes (:func:`record_trace`) — from :meth:`columns` instead of
+        decoding the bytes again."""
+        if columns.n_records != self.n_records:
+            raise TraceFormatError(
+                f"columns hold {columns.n_records} records, the trace "
+                f"{self.n_records}")
+        self._columns = columns
+
     def columns(self, chunk_records: int = 1 << 15) -> TraceColumns:
         """Decode the whole stream into struct-of-arrays columns.
 
@@ -556,6 +566,258 @@ class RecordedTrace:
                 f"{end - pos} trailing byte(s) after the last record")
         self._columns = cols
         return cols
+
+
+# ----------------------------------------------------------------------
+# The fused recorder: execute, encode and fill columns in one pass.
+
+#: Flag bytes of the record shapes :class:`_FusedRecorder` precomputes.
+#: Every record after the first has ``pc == previous next_pc``, so all
+#: of them carry ``_F_SEQ_PC``; the first record is never memoised (no
+#: word is in the dictionary yet).
+_FLAGS_LINE = _F_SEQ_PC | _F_SEQ_NEXT | _F_INSTR
+_FLAGS_MEM = _FLAGS_LINE | _F_MEM
+_FLAGS_TAKEN = _F_TAKEN | _F_SEQ_PC | _F_INSTR
+
+# Step shapes of a memoised PC.
+_K_LINE, _K_MEM, _K_COND, _K_JUMP = range(4)
+
+#: Machine semantics kind -> step shape (``halt`` has none).
+_SHAPES = {_LINE: _K_LINE, _COND: _K_COND, _JUMP: _K_JUMP}
+
+#: Ops whose semantics return the effective address of an access.
+_MEM_OPS = frozenset((Op.LW, Op.LB, Op.SW, Op.SB))
+
+#: Steps run between buffer flushes, step-limit checks and column
+#: growth.
+_RECORD_BATCH = 1 << 12
+
+
+def _uvarint(value: int) -> bytes:
+    out = bytearray()
+    _append_uvarint(out, value)
+    return bytes(out)
+
+
+class _FusedRecorder:
+    """One recording of a :class:`~repro.sim.machine.Machine` into a
+    :class:`TraceWriter` and a :class:`TraceColumns` (see
+    :func:`record_trace`)."""
+
+    def __init__(self, machine, writer: TraceWriter) -> None:
+        self.machine = machine
+        self.writer = writer
+        #: PC -> (entry, shape, semantics, word id, untaken record
+        #: bytes, taken record bytes, branch target).  Valid while the
+        #: machine's decode cache holds the same ``entry``.  A load or
+        #: store's untaken bytes are its prefix (the address follows),
+        #: a jump's are the prefix of a register target (``jr``).
+        self.memo: Dict[int, tuple] = {}
+        self.instrs: List[Instruction] = []
+        self.has_trapped = False
+        self.pc = array("q")
+        self.word_id = array("q")
+        self.mem_addr = array("q")
+        self.taken = bytearray()
+
+    def grow(self) -> None:
+        """Extend every column by one batch of unset records."""
+        self.pc.extend(array("q", bytes(8 * _RECORD_BATCH)))
+        self.word_id.extend(array("q", bytes(8 * _RECORD_BATCH)))
+        self.mem_addr.extend(array("q", [-1]) * _RECORD_BATCH)
+        self.taken += bytes(_RECORD_BATCH)
+
+    def prepare(self, pc: int) -> Optional[tuple]:
+        """The memo of ``pc``'s predecoded entry, predecoding it if
+        needed; ``None`` when the step must run as the reference pair:
+        a trap, ``marker`` or ``halt``, or a word the trace has not
+        carried yet (its first record holds the whole word)."""
+        machine = self.machine
+        entry = machine._decode_cache.get(pc)
+        if entry is None:
+            try:
+                entry = machine._predecode(pc)
+            except InvalidOpcodeError:
+                return None
+        wid = self.writer._word_ids.get(encode(entry[8]))
+        if wid is None:
+            return None
+        return self.memoise(pc, entry, wid)
+
+    def slow_step(self, pc: int, n: int) -> None:
+        """Record ``n`` at ``pc`` through ``Machine.step`` and
+        ``TraceWriter.append``, the reference pair."""
+        machine, writer = self.machine, self.writer
+        writer.n_records = n
+        writer._prev_next_pc = pc if n else None
+        n_words = len(writer._word_ids)
+        record = machine.step()
+        writer.append(record)
+        self.pc[n] = pc
+        if record.taken:
+            self.taken[n] = 1
+        if record.mem_addr is not None:
+            self.mem_addr[n] = record.mem_addr
+        instr = record.instr
+        if instr is None:
+            self.word_id[n] = -1
+            self.has_trapped = True
+            return
+        self.word_id[n] = writer._word_ids[encode(instr)]
+        if len(writer._word_ids) > n_words:
+            self.instrs.append(instr)
+
+    def memoise(self, pc: int, entry: tuple, wid: int) -> Optional[tuple]:
+        shape = _SHAPES.get(entry[0])
+        op = entry[8].op
+        if shape is None or op is Op.MARKER:
+            return None  # halt and markers always take the reference step
+        wid_bytes = _uvarint(wid)
+        line = bytes((_FLAGS_LINE,)) + wid_bytes
+        if shape == _K_LINE:
+            if op in _MEM_OPS:
+                shape, line = _K_MEM, bytes((_FLAGS_MEM,)) + wid_bytes
+            step = self.memo[pc] = (entry, shape, entry[1], wid, line, None, 0)
+            return step
+        target = entry[7]
+        if shape == _K_JUMP:
+            line = bytes((_FLAGS_TAKEN,)) + wid_bytes
+        if target == pc + 4:
+            taken = bytes((_FLAGS_TAKEN | _F_SEQ_NEXT,)) + wid_bytes
+        else:
+            taken = bytes((_FLAGS_TAKEN,)) + wid_bytes + _uvarint(target)
+        step = self.memo[pc] = (entry, shape, entry[1], wid, line, taken,
+                                target)
+        return step
+
+    def run(self, end: Tuple[int, int], max_steps: int) -> int:
+        """Execute to the ``end`` marker point; returns the number of
+        records."""
+        machine = self.machine
+        marker_id, target = end
+        memo_get = self.memo.get
+        cache_get = machine._decode_cache.get
+        out = self.writer._buffer
+        chunk_bytes = self.writer.CHUNK_BYTES
+        pcs, wids, mems, takens = (self.pc, self.word_id, self.mem_addr,
+                                   self.taken)
+        base_instret = machine.instret
+        regs = machine.regs
+        pc = machine.pc
+        n = 0
+        done = (machine.halted
+                or machine.marker_counts.get(marker_id, 0) >= target)
+        try:
+            while not done:
+                if len(pcs) < n + _RECORD_BATCH:
+                    self.grow()
+                stop = min(n + _RECORD_BATCH, max_steps)
+                while n < stop:
+                    step = memo_get(pc)
+                    if step is None or cache_get(pc) is not step[0]:
+                        step = self.prepare(pc)
+                    if step is None:
+                        machine.pc = pc
+                        machine.instret = base_instret + n
+                        self.slow_step(pc, n)
+                        n += 1
+                        pc = machine.pc
+                        regs = machine.regs
+                        if (machine.halted or machine.marker_counts.get(
+                                marker_id, 0) >= target):
+                            done = True
+                            break
+                        continue
+                    entry, shape, fn, wid, line, taken, branch = step
+                    if shape == _K_LINE:
+                        fn(machine, regs, entry)
+                        out += line
+                        next_pc = pc + 4
+                    elif shape == _K_MEM:
+                        addr = fn(machine, regs, entry)
+                        out += line
+                        _append_uvarint(out, addr)
+                        mems[n] = addr
+                        next_pc = pc + 4
+                    else:
+                        # ``jal`` links from (and a failing ``brr``
+                        # reports) the machine's PC.
+                        machine.pc = pc
+                        if shape == _K_COND:
+                            if fn(machine, regs, entry):
+                                out += taken
+                                takens[n] = 1
+                                next_pc = branch
+                            else:
+                                out += line
+                                next_pc = pc + 4
+                        else:
+                            next_pc = fn(machine, regs, entry)
+                            takens[n] = 1
+                            if next_pc == branch:
+                                out += taken
+                            else:
+                                # ``jr`` (whose ``branch`` is pc + 4)
+                                # to anywhere else.
+                                out += line
+                                _append_uvarint(out, next_pc)
+                    pcs[n] = pc
+                    wids[n] = wid
+                    pc = next_pc
+                    n += 1
+                if len(out) >= chunk_bytes:
+                    self.writer._flush()
+                if not done and n >= max_steps:
+                    raise RuntimeError(
+                        f"marker {marker_id} not reached within "
+                        f"{max_steps} steps")
+        finally:
+            machine.pc = pc
+            machine.instret = base_instret + n
+        if machine.marker_counts.get(marker_id, 0) < target:
+            raise RuntimeError(
+                f"program halted before marker {marker_id} fired "
+                f"{target} time(s)")
+        return n
+
+    def columns(self, n: int) -> TraceColumns:
+        """The filled columns of the first ``n`` records."""
+        for column in (self.pc, self.word_id, self.mem_addr, self.taken):
+            del column[n:]
+        next_pc = self.pc[1:]
+        if n:
+            next_pc.append(self.machine.pc)
+        return TraceColumns.from_arrays(
+            self.pc, self.word_id, next_pc, self.taken, self.mem_addr,
+            self.instrs, self.has_trapped)
+
+
+def record_trace(machine, stream: BinaryIO, end: Tuple[int, int],
+                 max_steps: int) -> TraceColumns:
+    """Run ``machine`` until marker ``end[0]`` has fired ``end[1]``
+    times, encoding every retired instruction to ``stream`` and filling
+    its replay columns in the same pass.
+
+    The bytes are exactly those ``TraceWriter.append(machine.step())``
+    writes, and the returned columns equal :meth:`RecordedTrace.columns`
+    of those bytes, but the hot path makes no
+    :class:`~repro.sim.trace.TraceRecord` and no ``step()``/``append()``
+    call.  It dispatches on the machine's own predecoded entries (its
+    decode cache, filled and bounded by ``Machine._predecode``), each
+    memoised per PC with its precomputed record bytes for as long as
+    the cache holds that entry.  Traps, ``marker``, ``halt`` and the
+    first record of each distinct word (which carries the word) run as
+    ``machine.step()`` into ``TraceWriter.append``, so marker callbacks
+    and trap handlers only ever run there.  The memo lives for this
+    call only.  Raises ``RuntimeError`` when the end point is not
+    reached within ``max_steps`` records or before the machine halts.
+    """
+    writer = TraceWriter(stream)
+    recorder = _FusedRecorder(machine, writer)
+    n = recorder.run(end, max_steps)
+    writer.n_records = n
+    writer.finish()
+    return recorder.columns(n)
 
 
 def read_trace(path: Union[str, pathlib.Path],

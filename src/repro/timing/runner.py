@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.brr import RandomSource
 from ..isa.program import Program
 from ..sim.machine import Machine, MachineCheckpoint
-from ..sim.trace_io import RecordedTrace, TraceFormatError, TraceWriter
+from ..sim.trace_io import RecordedTrace, TraceFormatError, record_trace
 from .config import TimingConfig
 from .fastpath import (
     FastPathUnsupported,
@@ -223,10 +223,14 @@ def record_window(
     point, serialising every retired instruction.
 
     This is the *record* phase: purely functional (no timing model
-    runs), one pass, streamed straight into the binary encoding.  The
-    returned trace carries a marker index, so any fast-forward /
-    begin / end partition of the stream — for any number of timing
-    configurations — resolves without re-execution.
+    runs), one pass, streamed straight into the binary encoding while
+    the same pass fills the replay columns
+    (:func:`~repro.sim.trace_io.record_trace`).  The returned handle,
+    re-opened from the written bytes, adopts those columns, so
+    replaying a fresh recording decodes nothing.  It carries a marker
+    index, so any fast-forward / begin / end partition of the stream —
+    for any number of timing configurations — resolves without
+    re-execution.
 
     ``path`` writes the encoding to a file (the trace-store path);
     without it the trace is kept in memory.  ``resume_from`` starts
@@ -236,33 +240,19 @@ def record_window(
     """
     machine = _machine_for(program, memory_size, brr_unit, setup,
                            resume_from=resume_from)
-    marker_id, target = end
     sink = open(path, "wb") if path is not None else io.BytesIO()
     try:
-        writer = TraceWriter(sink)
-        step, append = machine.step, writer.append
-        steps = 0
-        while (not machine.halted
-               and machine.marker_counts.get(marker_id, 0) < target):
-            append(step())
-            steps += 1
-            if steps > max_steps:
-                raise RuntimeError(
-                    f"marker {marker_id} not reached within {max_steps} steps"
-                )
-        if machine.marker_counts.get(marker_id, 0) < target:
-            raise RuntimeError(
-                f"program halted before marker {marker_id} fired "
-                f"{target} time(s)"
-            )
-        writer.finish()
+        columns = record_trace(machine, sink, end, max_steps)
         if path is not None:
             sink.close()
-            return RecordedTrace.open(path)
-        return RecordedTrace(sink.getvalue())
+            trace = RecordedTrace.open(path)
+        else:
+            trace = RecordedTrace(sink.getvalue())
     finally:
         if path is not None and not sink.closed:
             sink.close()
+    trace.adopt_columns(columns)
+    return trace
 
 
 # Out-of-band channel describing the most recent replay: which timing

@@ -177,12 +177,10 @@ class TestEngineConfig:
                 config.trace_handles) \
             == ("vector", True, True, "repair", None, 4)
 
-    @pytest.mark.parametrize("fast,mode", [(True, "vector"),
-                                           (False, "off")])
-    def test_boolean_fast_warns_and_maps(self, fast, mode):
-        with pytest.warns(DeprecationWarning, match="fast="):
-            config = EngineConfig(fast=fast)
-        assert config.fast == mode
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_boolean_fast_rejected(self, fast):
+        with pytest.raises(ValueError, match="fast must be one of"):
+            EngineConfig(fast=fast)
 
     def test_with_overrides_returns_new_frozen_copy(self):
         config = EngineConfig()

@@ -259,6 +259,42 @@ class TestEngineTelemetry:
         second = engine.trace_store.load(key)
         assert first is second  # same handle -> columns decoded once
 
+    def test_cold_run_replays_the_recorders_columns(self, tmp_path,
+                                                    monkeypatch):
+        """A cold miss replays from the columns its recording filled,
+        so it decodes nothing; a new engine on the same disk store
+        (fresh memory tier) decodes each stored trace exactly once."""
+        from repro.sim.trace_io import RecordedTrace
+
+        decoded = []
+        columns = RecordedTrace.columns
+
+        def counting(self, *args, **kwargs):
+            if self._columns is None:
+                decoded.append(self.source)
+            return columns(self, *args, **kwargs)
+
+        monkeypatch.setattr(RecordedTrace, "columns", counting)
+        specs = [microbench_window_spec(300, duplication, seed=0,
+                                        kind="brr", interval=interval)
+                 for duplication in ("full-dup", "no-dup")
+                 for interval in (256, 1024)]
+
+        def engine():
+            return ExperimentEngine(
+                config=EngineConfig(jobs=1, fast="vector"),
+                cache=ResultCache(tmp_path / "cache", enabled=False),
+                trace_store=TraceStore(tmp_path / "traces", enabled=True))
+
+        cold = engine().run(specs)
+        assert decoded == []
+        warm = engine().run(specs)
+        stored = sorted((tmp_path / "traces").rglob("*.trace"))
+        assert len(stored) == 4
+        assert sorted(decoded) == stored
+        assert json.dumps(warm, sort_keys=True) \
+            == json.dumps(cold, sort_keys=True)
+
 
 class TestColumnarDecoder:
     def test_columns_match_records(self):

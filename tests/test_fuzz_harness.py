@@ -35,8 +35,9 @@ class TestCleanRuns:
         report = run_differential_fuzz(windows=4, seed=0, blocks=10)
         assert not report.failed
         assert report.divergences == []
-        # Per window: |TIMING_PAIRS| per config + the functional pair.
-        per_window = len(DEFAULT_CONFIGS) * len(TIMING_PAIRS) + 1
+        # Per window: |TIMING_PAIRS| per config + the functional pair
+        # + the recorded-vs-decoded columns pair.
+        per_window = len(DEFAULT_CONFIGS) * len(TIMING_PAIRS) + 2
         assert report.comparisons == 4 * per_window
 
     @pytest.mark.parametrize("scheme", ["cbs", "brr"])
@@ -95,6 +96,18 @@ class TestKnownDivergenceSelfTest:
                 == "functional:trap-vs-native")
         assert report.divergences[0].fields == ["checksum"]
         assert report.divergences[0].shrunk_source is None
+
+    def test_columns_fault_hits_columns_comparison(self):
+        def fault(path, source, payload):
+            if path == "columns:recorded":
+                payload = dict(payload, has_trapped=True)
+            return payload
+
+        report = run_differential_fuzz(windows=1, seed=0, blocks=6,
+                                       shrink=False, fault=fault)
+        assert [d.comparison for d in report.divergences] \
+            == ["columns:recorded-vs-decoded"]
+        assert report.divergences[0].fields == ["has_trapped"]
 
     def test_report_round_trips_through_json(self):
         def fault(path, source, payload):

@@ -185,6 +185,40 @@ class TestErrors:
             assemble("nop\nbogus r1\nnop")
         assert info.value.line_no == 2
 
+    @pytest.mark.parametrize("statement", [
+        "bogus r1",                # unknown mnemonic
+        "addi r16, r0, 1",         # bad register
+        "lw r1, r2",               # bad memory operand
+        "li r1, nowhere",          # undefined symbol
+        ".space lots",             # pass-1 (parse) error
+        "marker",                  # missing operand
+        "beq r1, r2, nowhere",     # PC-relative, never memoised
+        "brr 1/3, t",              # bad frequency
+    ])
+    def test_repeated_bad_statement_fails_at_first_line(self, statement):
+        # Statement texts are parsed and encoded once per assemble()
+        # call; a repeated malformed text still fails where it first
+        # appears, after good statements with the same shape.
+        source = "\n".join([
+            "t: nop", "addi r1, r1, 1", "addi r1, r1, 1",
+            f"  {statement}  ; first", "addi r1, r1, 1",
+            f"{statement}", "halt",
+        ])
+        with pytest.raises(AsmError) as info:
+            assemble(source)
+        assert info.value.line_no == 4
+        assert info.value.line.endswith("; first")
+
+    def test_repeated_statements_encode_per_address(self):
+        source = "loop: addi r1, r1, 1\nbne r1, r0, loop\n" \
+                 "addi r1, r1, 1\nbne r1, r0, loop\nli r2, loop\nli r2, loop"
+        prog = assemble(source, base=0x40)
+        assert prog.words[0] == prog.words[2]
+        assert prog.words[4] == prog.words[5]
+        assert decode(prog.words[1]).imm == -2
+        assert decode(prog.words[3]).imm == -4
+        assert prog.source_map[3] == "bne r1, r0, loop"
+
 
 class TestProgramImage:
     def test_word_at(self):

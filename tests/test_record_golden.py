@@ -23,7 +23,7 @@ from repro.experiments.fig12 import jvm_window_spec
 from repro.isa.asm import assemble
 from repro.jvm.benchmarks import FIGURE12_BENCHMARKS
 from repro.sim.machine import Machine, MachineError
-from repro.sim.trace_io import RecordedTrace, TraceWriter
+from repro.sim.trace_io import RecordedTrace, TraceWriter, record_trace
 from repro.sim.trap import BrrTrapEmulator
 from repro.timing.runner import record_window
 from repro.workloads.adversarial import END_MARKER, build_adversarial
@@ -151,6 +151,19 @@ def _record_bytes(materials, tmp_path) -> bytes:
     return path.read_bytes()
 
 
+#: Every ``TraceColumns`` field the replay kernels read.
+COLUMN_FIELDS = ("n_records", "pc", "word_id", "next_pc", "taken",
+                 "mem_addr", "instrs", "has_trapped")
+
+
+def _assert_columns_match(recorded, data: bytes) -> None:
+    """The recorder's columns equal a fresh decode of its bytes."""
+    decoded = RecordedTrace(data).columns()
+    assert recorded is not decoded
+    for field in COLUMN_FIELDS:
+        assert getattr(recorded, field) == getattr(decoded, field), field
+
+
 def _words_bytes(program) -> bytes:
     return b"".join(word.to_bytes(4, "little") for word in program.words)
 
@@ -204,6 +217,46 @@ class TestAdversarialRecordings:
         assert sum(record.instr is None for record in records) \
             == emulator.traps
         assert _sha(path.read_bytes()) == TRAP_DIGEST
+
+
+class TestRecordedColumns:
+    """``record_window`` fills the replay columns in the pass that
+    writes the bytes; over the corpus above they must equal what
+    :meth:`RecordedTrace.columns` decodes from those bytes."""
+
+    @pytest.mark.parametrize("spec", FIG12_SPECS + FIG13_SPECS,
+                             ids=[spec.label()
+                                  for spec in FIG12_SPECS + FIG13_SPECS])
+    def test_scorecard_columns(self, spec):
+        materials = MATERIALS[spec.kind](spec.params_dict())
+        trace = record_window(materials["program"], materials["end"],
+                              brr_unit=materials["brr_unit"],
+                              setup=materials["setup"])
+        _assert_columns_match(trace.columns(), trace._data)
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+    def test_adversarial_columns(self, name):
+        materials = MATERIALS["adversarial"](dict(ADVERSARIAL[name]))
+        trace = record_window(materials["program"], materials["end"],
+                              brr_unit=materials["brr_unit"],
+                              setup=materials["setup"])
+        _assert_columns_match(trace.columns(), trace._data)
+
+    def test_trap_mode_columns(self, tmp_path):
+        adversarial = build_adversarial(scheme="brr", density=0.5, seed=7)
+        emulator = BrrTrapEmulator(adversarial.brr_unit())
+
+        def setup(machine):
+            emulator.install(machine)
+            adversarial.setup(machine)
+
+        path = tmp_path / "trap.brtr"
+        trace = record_window(adversarial.program("trap"), (END_MARKER, 1),
+                              setup=setup, path=path)
+        columns = trace.columns()
+        assert columns.has_trapped
+        assert list(columns.word_id).count(-1) == emulator.traps
+        _assert_columns_match(columns, path.read_bytes())
 
 
 #: A loop whose brr starts at 1/8 and is patched to 1/2 mid-run.
@@ -283,3 +336,75 @@ class TestInterpreterBehaviours:
             assert len(bounded._decode_cache) <= limit
             assert got == expected
         assert bounded.halted and bounded.regs == reference.regs
+
+
+#: A loop with every step shape (ALU, load/store, taken and untaken
+#: branches, brr, call and return) whose brr a marker callback patches.
+PATCHED_LOOP = """
+    li r1, 300
+    li r4, 0x8000
+loop:
+    marker 1
+    brr 1/8, hit
+back:
+    sw r1, 0(r4)
+    lw r3, 0(r4)
+    jal bump
+    addi r1, r1, -1
+    bne r1, r0, loop
+    marker 2
+    halt
+hit:
+    addi r2, r2, 1
+    jmp back
+bump:
+    addi r5, r5, 1
+    ret
+"""
+
+
+class TestFusedRecorder:
+    """``record_trace`` against the reference pair it replaces,
+    ``TraceWriter.append(machine.step())``, on one machine state."""
+
+    @staticmethod
+    def _machine(program, limit):
+        machine = Machine(program, brr_unit=HardwareCounterUnit(),
+                          decode_cache_limit=limit)
+        brr_addr = program.address_of("loop") + 4
+
+        def patch(machine, marker_id, count):
+            if marker_id == 1 and count == 100:
+                machine.patch_brr_frequency(brr_addr, 0)
+
+        machine.on_marker(patch)
+        return machine
+
+    @pytest.mark.parametrize("limit", [None, 1, 3])
+    def test_matches_reference_pair(self, limit):
+        program = assemble(PATCHED_LOOP)
+        reference = self._machine(program, limit)
+        expected = io.BytesIO()
+        writer = TraceWriter(expected)
+        while reference.marker_counts.get(2, 0) < 1:
+            writer.append(reference.step())
+        writer.finish()
+
+        fused = self._machine(program, limit)
+        stream = io.BytesIO()
+        columns = record_trace(fused, stream, (2, 1), max_steps=100_000)
+        assert stream.getvalue() == expected.getvalue()
+        _assert_columns_match(columns, expected.getvalue())
+        for attr in ("pc", "regs", "instret", "marker_counts", "halted"):
+            assert getattr(fused, attr) == getattr(reference, attr), attr
+        if limit is not None:
+            assert len(fused._decode_cache) <= limit
+
+    def test_step_limit_and_early_halt(self):
+        program = assemble(PATCHED_LOOP)
+        with pytest.raises(RuntimeError, match="not reached within 50"):
+            record_trace(self._machine(program, None), io.BytesIO(),
+                         (2, 1), max_steps=50)
+        with pytest.raises(RuntimeError, match="halted before marker 3"):
+            record_trace(self._machine(program, None), io.BytesIO(),
+                         (3, 1), max_steps=100_000)

@@ -111,6 +111,41 @@ class TestDeadlines:
         monkeypatch.setenv("REPRO_SERVE_TIMEOUT", "2.5")
         assert _service(tmp_path).resolve_timeout(None) == 2.5
 
+    #: Variable -> (service attribute, [(raw, value) for well-formed
+    #: values], a malformed value).
+    SERVE_ENV = {
+        "REPRO_SERVE_QUEUE": ("queue_limit", [("3", 3), ("0", 1)], "many"),
+        "REPRO_SERVE_TENANT_QUOTA": ("tenant_quota", [("2", 2), ("-4", 1)],
+                                     "1.5"),
+        "REPRO_SERVE_TIMEOUT": ("default_timeout",
+                                [("2.5", 2.5), ("0", None)], "soon"),
+        "REPRO_SERVE_MAX_TIMEOUT": ("max_timeout",
+                                    [("60", 60.0), ("-1", None)], "x"),
+        "REPRO_SERVE_DRAIN_TIMEOUT": ("drain_timeout",
+                                      [(" 7 ", 7.0), ("", 30.0)], "7s"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SERVE_ENV))
+    def test_serve_env_is_strict(self, name, tmp_path, monkeypatch):
+        attr, good, bad = self.SERVE_ENV[name]
+        for raw, value in good:
+            monkeypatch.setenv(name, raw)
+            assert getattr(_service(tmp_path), attr) == value
+        monkeypatch.setenv(name, bad)
+        with pytest.raises(ValueError, match=name):
+            _service(tmp_path)
+
+    def test_malformed_serve_env_is_a_usage_error(self, capsys,
+                                                  monkeypatch, tmp_path):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_SERVE_QUEUE", "lots")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--port", "0", "--cache-dir",
+                  str(tmp_path / "cache")])
+        assert exit_info.value.code == 2
+        assert "REPRO_SERVE_QUEUE='lots'" in capsys.readouterr().err
+
     def test_deadline_abandons_wait_not_computation(self, tmp_path):
         """The regression the tentpole names: a timed-out waiter must
         NOT cancel the shared in-flight future, and the result must
