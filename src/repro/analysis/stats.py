@@ -36,14 +36,19 @@ def stderr(values: Sequence[float]) -> float:
 
 
 def t_critical(df: int, confidence: float = 0.95) -> float:
-    """Two-sided Student-t critical value at ``confidence`` (via scipy)."""
-    from scipy import stats as scipy_stats
+    """Two-sided Student-t critical value at ``confidence``.
 
+    ``scipy.special.stdtrit`` is the quantile ``scipy.stats.t.ppf``
+    itself dispatches to (loc 0, scale 1), so the value is bit-identical
+    to ``t.ppf`` without importing all of ``scipy.stats``.
+    """
     if df < 1:
         raise ValueError(f"need df >= 1, got {df}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    return float(scipy_stats.t.ppf((1.0 + confidence) / 2.0, df))
+    from scipy.special import stdtrit
+
+    return float(stdtrit(df, (1.0 + confidence) / 2.0))
 
 
 def t_interval(values: Sequence[float],

@@ -29,12 +29,23 @@ exactly, to the loop kernel, and the tag records that.
 The emitted document (``BENCH_timing.json`` under ``--out``) is the
 machine-readable perf trajectory: per-window and per-kernel records/s
 and speedup, per-figure aggregates (the kernel-v2 acceptance floor is
-the Figure-12 warm-vector aggregate), and the batched-LFSR rates.
+the Figure-12 warm-vector aggregate), and the batched-LFSR rates.  The
+``startup`` block times what every CLI call, ``repro serve`` start and
+subprocess pays before any window runs: a fresh interpreter importing
+``repro.api`` and building one
+:class:`~repro.engine.ExperimentEngine` with its stores.
 ``repro bench`` exits non-zero if any window's stats diverge.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import statistics
+import subprocess
+import sys
+import tempfile
 import time
 from typing import Any, Dict, List, Optional
 
@@ -234,6 +245,63 @@ def bench_lfsr_rates(bits: int = 1 << 16) -> Dict[str, Any]:
     }
 
 
+#: Child-interpreter body of :func:`bench_startup`: the import and
+#: engine construction every process pays, then its own resource usage.
+#: Peak RSS is read from ``VmHWM`` where Linux offers it: ``ru_maxrss``
+#: keeps the high-water mark of the forked parent across ``exec``, so
+#: a child of a large ``repro bench`` process would report the parent's.
+_STARTUP_SCRIPT = """\
+import json, resource, sys
+import repro.api
+from repro.engine import ExperimentEngine
+ExperimentEngine()
+usage = resource.getrusage(resource.RUSAGE_SELF)
+maxrss_kb = usage.ru_maxrss
+try:
+    with open("/proc/self/status") as status:
+        maxrss_kb = next(int(line.split()[1]) for line in status
+                         if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    pass
+print(json.dumps({"cpu_s": usage.ru_utime + usage.ru_stime,
+                  "maxrss_kb": maxrss_kb,
+                  "modules": len(sys.modules),
+                  "scipy_stats_loaded": "scipy.stats" in sys.modules}))
+"""
+
+
+def bench_startup(runs: int = 3) -> Dict[str, Any]:
+    """Start-up cost of a fresh process, median of ``runs`` children.
+
+    The children run one after another, each on an empty store
+    directory of its own, and report their own CPU time (user +
+    system), peak RSS and loaded-module count.
+    """
+    src = str(pathlib.Path(__file__).resolve().parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    for name in ("REPRO_CACHE", "REPRO_TRACE"):
+        env.pop(name, None)
+    samples = []
+    for _ in range(runs):
+        with tempfile.TemporaryDirectory() as cache_dir:
+            env["REPRO_CACHE_DIR"] = cache_dir
+            out = subprocess.run(
+                [sys.executable, "-c", _STARTUP_SCRIPT], env=env,
+                capture_output=True, text=True, check=True).stdout
+        samples.append(json.loads(out))
+    return {
+        "runs": runs,
+        "cpu_s": round(statistics.median(s["cpu_s"] for s in samples), 3),
+        "peak_rss_mb": round(statistics.median(
+            s["maxrss_kb"] for s in samples) / 1024.0, 1),
+        "modules": statistics.median(s["modules"] for s in samples),
+        "scipy_stats_loaded": any(s["scipy_stats_loaded"]
+                                  for s in samples),
+    }
+
+
 def bench_timing(specs: Optional[List[WindowSpec]] = None) -> Dict[str, Any]:
     """Run the full fastpath-vs-golden benchmark document."""
     rows = [_bench_window(spec)
@@ -250,6 +318,7 @@ def bench_timing(specs: Optional[List[WindowSpec]] = None) -> Dict[str, Any]:
         "figures": figures,
         "aggregate": _aggregate(rows),
         "lfsr": bench_lfsr_rates(),
+        "startup": bench_startup(),
     }
 
 
@@ -288,6 +357,13 @@ def format_bench(data: Dict[str, Any]) -> str:
         f"lfsr step_words ({lfsr['bits']} bits): "
         f"{lfsr['step_bits_per_s']:,} -> {lfsr['step_words_bits_per_s']:,} "
         f"bits/s ({lfsr['speedup']:.2f}x)"
+    )
+    startup = data["startup"]
+    lines.append(
+        f"startup (import repro.api + engine, median of {startup['runs']}): "
+        f"{startup['cpu_s']:.3f} s CPU, {startup['peak_rss_mb']:.1f} MB "
+        f"peak RSS, {startup['modules']} modules, scipy.stats "
+        f"{'loaded' if startup['scipy_stats_loaded'] else 'not loaded'}"
     )
     status = "all windows byte-identical" \
         if data["aggregate"]["identical"] else "DIVERGENCE DETECTED"

@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from scipy import stats as scipy_stats
-
 from ..analysis.stats import mean, sample_std
 from ..core.taps import PAPER_SENSITIVITY_TAPS_32
 from ..engine import ExperimentEngine, get_engine, run_population
@@ -73,6 +71,8 @@ def _anova(groups: Dict[str, List[float]]) -> Tuple[float, float]:
     samples = [vals for vals in groups.values() if len(vals) > 1]
     if len(samples) < 2:
         raise ValueError("need at least two groups of two samples")
+    from scipy import stats as scipy_stats
+
     f_stat, p_value = scipy_stats.f_oneway(*samples)
     return float(f_stat), float(p_value)
 

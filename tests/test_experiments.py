@@ -169,3 +169,13 @@ class TestBenchFrontEnd:
         assert figure["record_s"] == row["record_s"]
         assert figure["record_steps_per_s"] > 0
         assert "record/s" in format_bench(data)
+        assert "startup" in format_bench(data)
+
+    def test_startup_block(self):
+        from repro.experiments.bench_timing import bench_startup
+
+        startup = bench_startup(runs=1)
+        assert startup["runs"] == 1
+        assert startup["cpu_s"] > 0 and startup["peak_rss_mb"] > 0
+        assert startup["modules"] > 0
+        assert startup["scipy_stats_loaded"] is False

@@ -33,9 +33,13 @@ class TestAnalysisStats:
             sample_std(values) / math.sqrt(4))
 
     def test_t_critical_matches_scipy(self):
-        for df in (1, 4, 30):
-            assert t_critical(df, 0.95) == pytest.approx(
-                float(scipy_stats.t.ppf(0.975, df)))
+        # Exact: t_critical must be bit-identical to scipy.stats.t.ppf,
+        # or every sampled CI could move in its last bit.
+        for df in range(1, 1001):
+            for confidence in (0.8, 0.9, 0.95, 0.99):
+                assert t_critical(df, confidence) == float(
+                    scipy_stats.t.ppf((1 + confidence) / 2, df)), \
+                    (df, confidence)
         with pytest.raises(ValueError):
             t_critical(0)
         with pytest.raises(ValueError):
