@@ -25,6 +25,7 @@ from ..isa.instructions import (
     InvalidOpcodeError,
     Op,
     decode,
+    encode,
 )
 from ..isa.program import Program
 from .memory import Memory
@@ -59,12 +60,14 @@ MarkerCallback = Callable[["Machine", int, int], None]
 # ``Machine._predecode`` turns each fetched word into one plain tuple,
 # cached per PC:
 #
-#     (kind, semantics, rd, ra, rb, imm, freq, target, instr)
+#     (kind, semantics, rd, ra, rb, imm, freq, target, instr, word)
 #
 # where ``target`` is the PC-relative branch target precomputed from
-# ``imm`` and ``instr`` is the decoded :class:`Instruction` the trace
-# record carries.  ``kind`` says what ``semantics(machine, regs, entry)``
-# returns:
+# ``imm``, ``instr`` is the decoded :class:`Instruction` the trace
+# record carries and ``word`` is its canonical encoding, the word the
+# trace writer stores.  Everything but ``target`` depends on the raw
+# word alone, so it is decoded once per distinct word, not per PC.
+# ``kind`` says what ``semantics(machine, regs, entry)`` returns:
 #
 # ``_LINE``  straight-line code: the effective address of a memory
 #            access, else ``None``; execution falls through;
@@ -195,10 +198,11 @@ class MachineCheckpoint:
 class Machine:
     """Architectural state plus an interpreter loop."""
 
-    #: Default decode-cache capacity.  Far above any program in the
-    #: repo (the biggest JVM images are a few thousand words), so
-    #: eviction never fires in practice, but long runs over patched or
-    #: generated code can no longer grow the cache without bound.
+    #: Default capacity of the decode cache and of the word table.
+    #: Above any program in the repo (the largest Figure-12 image is
+    #: 19,854 words), so eviction never fires in practice, but long
+    #: runs over patched or generated code can no longer grow either
+    #: table without bound.
     DECODE_CACHE_LIMIT = 1 << 16
 
     def __init__(
@@ -224,6 +228,9 @@ class Machine:
         self.trap_handlers: Dict[int, TrapHandler] = {}
         #: PC -> predecoded dispatch entry (see ``_SEMANTICS``).
         self._decode_cache: Dict[int, tuple] = {}
+        #: raw word -> (the entry's fields before ``target``, those
+        #: after it, ``target - pc``): all of an entry but its PC.
+        self._word_table: Dict[int, tuple] = {}
         self._decode_cache_limit = max(
             1, self.DECODE_CACHE_LIMIT if decode_cache_limit is None
             else decode_cache_limit)
@@ -243,21 +250,33 @@ class Machine:
         """Decode the word at ``pc`` into its dispatch entry and cache it.
 
         Raises :class:`InvalidOpcodeError` for an un-architected word,
-        which is never cached: the trap handler runs on every visit.
+        which enters neither table: the trap handler runs on every
+        visit.  A patched word is a different key of the word table, so
+        :meth:`invalidate_decode` is all a code patch needs.
         """
-        instr = decode(self.memory.load_word(pc), pc=pc)
-        kind, semantics = _SEMANTICS[instr.op]
-        imm = instr.imm
-        entry = (kind, semantics, instr.rd, instr.ra, instr.rb, imm,
-                 instr.freq, pc + WORD + imm * WORD, instr)
-        cache = self._decode_cache
-        if len(cache) >= self._decode_cache_limit:
+        word = self.memory.load_word(pc)
+        words = self._word_table
+        shared = words.get(word)
+        if shared is None:
+            instr = decode(word, pc=pc)
+            kind, semantics = _SEMANTICS[instr.op]
+            shared = ((kind, semantics, instr.rd, instr.ra, instr.rb,
+                       instr.imm, instr.freq),
+                      (instr, encode(instr)), WORD + instr.imm * WORD)
+            self._bounded_put(words, word, shared)
+        head, tail, offset = shared
+        entry = head + (pc + offset,) + tail
+        self._bounded_put(self._decode_cache, pc, entry)
+        return entry
+
+    def _bounded_put(self, table: Dict[int, tuple], key: int,
+                     value: tuple) -> None:
+        if len(table) >= self._decode_cache_limit:
             # FIFO eviction (dicts preserve insertion order): O(1) and
             # good enough for code, whose working set is tiny next to
             # the limit.
-            cache.pop(next(iter(cache)))
-        cache[pc] = entry
-        return entry
+            table.pop(next(iter(table)))
+        table[key] = value
 
     def invalidate_decode(self, addr: int) -> None:
         """Drop a cached decode after code has been patched in memory."""

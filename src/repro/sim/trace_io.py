@@ -144,7 +144,9 @@ class TraceWriter:
         self._buffer = bytearray()
         stream.write(header)
 
-    def append(self, record: TraceRecord) -> None:
+    def append(self, record: TraceRecord) -> Optional[int]:
+        """Encode one record; returns its word id (``None`` when the
+        record was trapped and carries no word)."""
         if self._finished:
             raise TraceFormatError("writer already finished")
         out = self._buffer
@@ -164,6 +166,7 @@ class TraceWriter:
         out.append(flags)
         if not flags & _F_SEQ_PC:
             _append_uvarint(out, pc)
+        word_id = None
         if instr is not None:
             word = encode(instr)
             word_id = self._word_ids.get(word)
@@ -184,6 +187,7 @@ class TraceWriter:
         self.n_records += 1
         if len(out) >= self.CHUNK_BYTES:
             self._flush()
+        return word_id
 
     def _flush(self) -> None:
         out = self._buffer
@@ -607,11 +611,17 @@ class _FusedRecorder:
     def __init__(self, machine, writer: TraceWriter) -> None:
         self.machine = machine
         self.writer = writer
+        #: canonical word -> (shape, word id, untaken record bytes,
+        #: sequential taken record bytes, taken record prefix): the
+        #: PC-independent part of a memo, built once per word.  A load
+        #: or store's untaken bytes are its prefix (the address
+        #: follows), a jump's are the prefix of a register target
+        #: (``jr``); a taken record whose target is not ``pc + 4`` is
+        #: its prefix followed by the target.
+        self.words: Dict[int, tuple] = {}
         #: PC -> (entry, shape, semantics, word id, untaken record
         #: bytes, taken record bytes, branch target).  Valid while the
-        #: machine's decode cache holds the same ``entry``.  A load or
-        #: store's untaken bytes are its prefix (the address follows),
-        #: a jump's are the prefix of a register target (``jr``).
+        #: machine's decode cache holds the same ``entry``.
         self.memo: Dict[int, tuple] = {}
         self.instrs: List[Instruction] = []
         self.has_trapped = False
@@ -639,10 +649,42 @@ class _FusedRecorder:
                 entry = machine._predecode(pc)
             except InvalidOpcodeError:
                 return None
-        wid = self.writer._word_ids.get(encode(entry[8]))
-        if wid is None:
+        word = entry[9]
+        shaped = self.words.get(word) or self.memoise(word, entry)
+        if shaped is None:
             return None
-        return self.memoise(pc, entry, wid)
+        shape, wid, line, seq_taken, taken_prefix = shaped
+        target = entry[7]
+        if shape == _K_LINE or shape == _K_MEM:
+            taken = None
+        elif target == pc + 4:
+            taken = seq_taken
+        else:
+            taken = taken_prefix + _uvarint(target)
+        step = self.memo[pc] = (entry, shape, entry[1], wid, line, taken,
+                                target)
+        return step
+
+    def memoise(self, word: int, entry: tuple) -> Optional[tuple]:
+        """Build and keep the PC-independent memo part of ``word``;
+        ``None`` for a word the trace has not carried yet, ``halt`` and
+        ``marker``, which take the reference step."""
+        wid = self.writer._word_ids.get(word)
+        shape = _SHAPES.get(entry[0])
+        op = entry[8].op
+        if wid is None or shape is None or op is Op.MARKER:
+            return None
+        wid_bytes = _uvarint(wid)
+        line = bytes((_FLAGS_LINE,)) + wid_bytes
+        taken_prefix = bytes((_FLAGS_TAKEN,)) + wid_bytes
+        if shape == _K_LINE and op in _MEM_OPS:
+            shape, line = _K_MEM, bytes((_FLAGS_MEM,)) + wid_bytes
+        elif shape == _K_JUMP:
+            line = taken_prefix
+        shaped = self.words[word] = (
+            shape, wid, line, bytes((_FLAGS_TAKEN | _F_SEQ_NEXT,)) + wid_bytes,
+            taken_prefix)
+        return shaped
 
     def slow_step(self, pc: int, n: int) -> None:
         """Record ``n`` at ``pc`` through ``Machine.step`` and
@@ -652,43 +694,19 @@ class _FusedRecorder:
         writer._prev_next_pc = pc if n else None
         n_words = len(writer._word_ids)
         record = machine.step()
-        writer.append(record)
+        wid = writer.append(record)
         self.pc[n] = pc
         if record.taken:
             self.taken[n] = 1
         if record.mem_addr is not None:
             self.mem_addr[n] = record.mem_addr
-        instr = record.instr
-        if instr is None:
+        if wid is None:
             self.word_id[n] = -1
             self.has_trapped = True
             return
-        self.word_id[n] = writer._word_ids[encode(instr)]
+        self.word_id[n] = wid
         if len(writer._word_ids) > n_words:
-            self.instrs.append(instr)
-
-    def memoise(self, pc: int, entry: tuple, wid: int) -> Optional[tuple]:
-        shape = _SHAPES.get(entry[0])
-        op = entry[8].op
-        if shape is None or op is Op.MARKER:
-            return None  # halt and markers always take the reference step
-        wid_bytes = _uvarint(wid)
-        line = bytes((_FLAGS_LINE,)) + wid_bytes
-        if shape == _K_LINE:
-            if op in _MEM_OPS:
-                shape, line = _K_MEM, bytes((_FLAGS_MEM,)) + wid_bytes
-            step = self.memo[pc] = (entry, shape, entry[1], wid, line, None, 0)
-            return step
-        target = entry[7]
-        if shape == _K_JUMP:
-            line = bytes((_FLAGS_TAKEN,)) + wid_bytes
-        if target == pc + 4:
-            taken = bytes((_FLAGS_TAKEN | _F_SEQ_NEXT,)) + wid_bytes
-        else:
-            taken = bytes((_FLAGS_TAKEN,)) + wid_bytes + _uvarint(target)
-        step = self.memo[pc] = (entry, shape, entry[1], wid, line, taken,
-                                target)
-        return step
+            self.instrs.append(record.instr)
 
     def run(self, end: Tuple[int, int], max_steps: int) -> int:
         """Execute to the ``end`` marker point; returns the number of
@@ -803,14 +821,16 @@ def record_trace(machine, stream: BinaryIO, end: Tuple[int, int],
     of those bytes, but the hot path makes no
     :class:`~repro.sim.trace.TraceRecord` and no ``step()``/``append()``
     call.  It dispatches on the machine's own predecoded entries (its
-    decode cache, filled and bounded by ``Machine._predecode``), each
-    memoised per PC with its precomputed record bytes for as long as
-    the cache holds that entry.  Traps, ``marker``, ``halt`` and the
-    first record of each distinct word (which carries the word) run as
-    ``machine.step()`` into ``TraceWriter.append``, so marker callbacks
-    and trap handlers only ever run there.  The memo lives for this
-    call only.  Raises ``RuntimeError`` when the end point is not
-    reached within ``max_steps`` records or before the machine halts.
+    decode cache, filled and bounded by ``Machine._predecode``).  The
+    record bytes of each distinct word are built once per call; a PC
+    adds only the taken bytes of an explicit branch target, and its
+    memo holds for as long as the cache holds that entry.  Traps,
+    ``marker``, ``halt`` and the first record of each distinct word
+    (which carries the word) run as ``machine.step()`` into
+    ``TraceWriter.append``, so marker callbacks and trap handlers only
+    ever run there.  The memos live for this call only.  Raises
+    ``RuntimeError`` when the end point is not reached within
+    ``max_steps`` records or before the machine halts.
     """
     writer = TraceWriter(stream)
     recorder = _FusedRecorder(machine, writer)

@@ -3,11 +3,14 @@
 Two structures used to grow with simulated time rather than with
 program size: the functional simulator's decode cache and the timing
 pipeline's per-cycle bandwidth maps.  Both now carry explicit bounds;
-these tests pin them over a window of >16384 cycles.
+these tests pin them over a window of >16384 cycles.  The decode
+cache's word table shares its bound.
 """
 
+from repro.core.brr import BranchOnRandomUnit
 from repro.isa.asm import assemble
 from repro.sim.machine import Machine
+from repro.sim.trap import BrrTrapEmulator
 from repro.timing.pipeline import TimingSimulator, _Bandwidth
 
 #: A tight loop long enough to retire far more than 16384 cycles.
@@ -68,3 +71,40 @@ class TestDecodeCacheEviction:
         unbounded.run(max_steps=200_000)
         assert bounded.regs == unbounded.regs
         assert bounded.instret == unbounded.instret
+
+
+#: A loop around a trap-mode (un-architected) ``brr``.
+TRAP_LOOP = """
+    li r1, 200
+loop:
+    brr 1/4, hit
+back:
+    addi r1, r1, -1
+    bne r1, r0, loop
+    halt
+hit:
+    addi r2, r2, 1
+    jmp back
+"""
+
+
+class TestWordTableBounds:
+    def test_word_table_respects_limit(self):
+        machine = Machine(assemble(LONG_LOOP), decode_cache_limit=3)
+        while not machine.halted:
+            machine.step()
+            assert len(machine._word_table) <= 3
+        assert machine.regs[2] == 20000
+
+    def test_trapped_word_enters_neither_table(self):
+        program = assemble(TRAP_LOOP, brr_mode="trap")
+        machine = Machine(program)
+        emulator = BrrTrapEmulator(BranchOnRandomUnit())
+        emulator.install(machine)
+        machine.run(max_steps=10_000)
+        assert emulator.traps == 200
+        trap_pc = program.address_of("loop")
+        trap_word = machine.memory.load_word(trap_pc)
+        assert trap_pc not in machine._decode_cache
+        assert trap_word not in machine._word_table
+        assert machine._word_table

@@ -25,7 +25,7 @@ from repro.jvm.benchmarks import FIGURE12_BENCHMARKS
 from repro.sim.machine import Machine, MachineError
 from repro.sim.trace_io import RecordedTrace, TraceWriter, record_trace
 from repro.sim.trap import BrrTrapEmulator
-from repro.timing.runner import record_window
+from repro.timing.runner import record_window, time_window
 from repro.workloads.adversarial import END_MARKER, build_adversarial
 
 FIG12_SPECS = [jvm_window_spec(name, variant, scale=0.25)
@@ -408,3 +408,89 @@ class TestFusedRecorder:
         with pytest.raises(RuntimeError, match="halted before marker 3"):
             record_trace(self._machine(program, None), io.BytesIO(),
                          (3, 1), max_steps=100_000)
+
+
+#: One block of PC-relative control flow; every copy assembles to the
+#: same words (``brr``, ``bne``, ``beq``, ``jal`` and ``jmp`` offsets
+#: are equal), so one word has a different absolute target per copy.
+REPEATED_BLOCK = """
+b{i}:
+    brr 1/4, s{i}
+    addi r2, r2, 1
+s{i}:
+    bne r1, r0, t{i}
+    addi r5, r5, 1
+t{i}:
+    beq r0, r0, u{i}
+u{i}:
+    sw r1, 0(r4)
+    lw r3, 0(r4)
+    jal f{i}
+    jmp v{i}
+f{i}:
+    addi r6, r6, 1
+    ret
+v{i}:
+"""
+
+#: A loop over four copies of ``REPEATED_BLOCK``.
+REPEATED_WORDS = "\n".join(
+    ["    li r1, 40", "    li r4, 0x8000", "loop:", "    marker 1"]
+    + [REPEATED_BLOCK.format(i=i) for i in range(4)]
+    + ["    addi r1, r1, -1", "    bne r1, r0, loop", "    marker 2",
+       "    halt"])
+
+
+class TestWordKeyedMemo:
+    """The front end decodes and encodes once per word: a word shared
+    by several PCs must still give each PC its own branch target."""
+
+    @staticmethod
+    def _reference(program, limit) -> bytes:
+        machine = Machine(program, brr_unit=HardwareCounterUnit(),
+                          decode_cache_limit=limit)
+        stream = io.BytesIO()
+        writer = TraceWriter(stream)
+        for _ in range(100_000):
+            if machine.marker_counts.get(2, 0) >= 1:
+                break
+            writer.append(machine.step())
+        writer.finish()
+        return stream.getvalue()
+
+    def test_copies_share_words_not_targets(self):
+        program = assemble(REPEATED_WORDS)
+        machine = Machine(program)
+        starts = [program.address_of(f"b{i}") for i in range(4)]
+        block = (starts[1] - starts[0]) // 4
+        for offset in range(block):
+            entries = [machine._predecode(start + 4 * offset)
+                       for start in starts]
+            assert len({entry[9] for entry in entries}) == 1
+            targets = [entry[7] - start
+                       for entry, start in zip(entries, starts)]
+            assert len(set(targets)) == 1
+        assert len(machine._word_table) == block
+
+    @pytest.mark.parametrize("limit", [None, 1, 2, 3])
+    def test_matches_reference_pair_and_lock_step(self, limit):
+        program = assemble(REPEATED_WORDS)
+        expected = self._reference(program, None)
+        assert self._reference(program, limit) == expected
+
+        machine = Machine(program, brr_unit=HardwareCounterUnit(),
+                          decode_cache_limit=limit)
+        stream = io.BytesIO()
+        columns = record_trace(machine, stream, (2, 1), max_steps=100_000)
+        assert stream.getvalue() == expected
+        _assert_columns_match(columns, expected)
+        if limit is not None:
+            assert len(machine._decode_cache) <= limit
+            assert len(machine._word_table) <= limit
+
+        trace = RecordedTrace(stream.getvalue())
+        trace.adopt_columns(columns)
+        lock_step = time_window(program, (1, 1), (2, 1),
+                                brr_unit=HardwareCounterUnit())
+        replayed = time_window(program, (1, 1), (2, 1), trace=trace)
+        assert replayed == lock_step
