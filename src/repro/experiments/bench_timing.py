@@ -29,10 +29,11 @@ exactly, to the loop kernel, and the tag records that.
 The emitted document (``BENCH_timing.json`` under ``--out``) is the
 machine-readable perf trajectory: per-window and per-kernel records/s
 and speedup, per-figure aggregates (the kernel-v2 acceptance floor is
-the Figure-12 warm-vector aggregate), and the batched-LFSR rates.  The
-``startup`` block times what every CLI call, ``repro serve`` start and
-subprocess pays before any window runs: a fresh interpreter importing
-``repro.api`` and building one
+the Figure-12 warm-vector aggregate), the batched-LFSR rates, and the
+Section 4 stream generators against their per-event references
+(``positions``).  The ``startup`` block times what every CLI call,
+``repro serve`` start and subprocess pays before any window runs: a
+fresh interpreter importing ``repro.api`` and building one
 :class:`~repro.engine.ExperimentEngine` with its stores.
 ``repro bench`` exits non-zero if any window's stats diverge.
 """
@@ -245,6 +246,69 @@ def bench_lfsr_rates(bits: int = 1 << 16) -> Dict[str, Any]:
     }
 
 
+def bench_position_rates(events: int = 1 << 16,
+                         draws: int = 1 << 20) -> Dict[str, Any]:
+    """The Section 4 stream generators against their per-event
+    references: branch-on-random positions from
+    :class:`~repro.sampling.positions.BrrPositionStream` against
+    :class:`~repro.sampling.samplers.BrrSampler` asking the hardware
+    model once per event, and the DaCapo streams' bucketed weighted
+    draw against ``Generator.choice``.  Each pair must agree exactly."""
+    import numpy as np
+
+    from ..core.brr import BranchOnRandomUnit
+    from ..core.lfsr import Lfsr
+    from ..sampling.positions import BrrPositionStream
+    from ..sampling.samplers import BrrSampler
+    from ..workloads.dacapo import (
+        DACAPO_BENCHMARKS,
+        _WeightedDraw,
+        method_weights,
+    )
+
+    field, seed = 9, 0xACE1
+    sampler = BrrSampler(field=field,
+                         unit=BranchOnRandomUnit(Lfsr(16, seed=seed)))
+    started = time.perf_counter()
+    expected = [index for index in range(events) if sampler.should_sample()]
+    sampler_s = time.perf_counter() - started
+    started = time.perf_counter()
+    positions = BrrPositionStream(field, width=16, seed=seed).take(events)
+    take_s = time.perf_counter() - started
+
+    weights = method_weights(DACAPO_BENCHMARKS[-1])
+    started = time.perf_counter()
+    chosen = np.random.default_rng(seed).choice(weights.size, draws,
+                                                p=weights)
+    choice_s = time.perf_counter() - started
+    draw = _WeightedDraw(weights)
+    started = time.perf_counter()
+    drawn = draw(np.random.default_rng(seed), draws)
+    draw_s = time.perf_counter() - started
+
+    def rate(count: int, seconds: float) -> Optional[int]:
+        return round(count / seconds) if seconds > 0 else None
+
+    return {
+        "brr": {
+            "events": events,
+            "sampler_events_per_s": rate(events, sampler_s),
+            "take_events_per_s": rate(events, take_s),
+            "speedup": round(sampler_s / take_s, 3) if take_s > 0
+            else None,
+            "identical": positions.tolist() == expected,
+        },
+        "draw": {
+            "events": draws,
+            "choice_events_per_s": rate(draws, choice_s),
+            "draw_events_per_s": rate(draws, draw_s),
+            "speedup": round(choice_s / draw_s, 3) if draw_s > 0
+            else None,
+            "identical": bool(np.array_equal(drawn, chosen)),
+        },
+    }
+
+
 #: Child-interpreter body of :func:`bench_startup`: the import and
 #: engine construction every process pays, then its own resource usage.
 #: Peak RSS is read from ``VmHWM`` where Linux offers it: ``ru_maxrss``
@@ -318,6 +382,7 @@ def bench_timing(specs: Optional[List[WindowSpec]] = None) -> Dict[str, Any]:
         "figures": figures,
         "aggregate": _aggregate(rows),
         "lfsr": bench_lfsr_rates(),
+        "positions": bench_position_rates(),
         "startup": bench_startup(),
     }
 
@@ -358,6 +423,15 @@ def format_bench(data: Dict[str, Any]) -> str:
         f"{lfsr['step_bits_per_s']:,} -> {lfsr['step_words_bits_per_s']:,} "
         f"bits/s ({lfsr['speedup']:.2f}x)"
     )
+    for name, slow, fast in (("brr", "sampler", "take"),
+                             ("draw", "choice", "draw")):
+        row = data["positions"][name]
+        lines.append(
+            f"positions {name} ({row['events']} events): "
+            f"{slow} {row[f'{slow}_events_per_s']:,} -> "
+            f"{fast} {row[f'{fast}_events_per_s']:,} events/s "
+            f"({row['speedup']:.2f}x, "
+            f"{'identical' if row['identical'] else 'DIVERGED'})")
     startup = data["startup"]
     lines.append(
         f"startup (import repro.api + engine, median of {startup['runs']}): "

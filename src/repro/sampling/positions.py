@@ -6,21 +6,86 @@ every event, the experiment harness generates the *positions* at which
 each framework samples:
 
 * fixed-interval counters sample an arithmetic progression;
-* branch-on-random decisions come from a tight bit-masked LFSR loop
-  (the decision "AND of the selected bits" is one mask compare), and
-  the positions are the indices of taken decisions.
+* branch-on-random decisions come from the LFSR's output sequence,
+  generated a block at a time by the squared feedback polynomial (see
+  :func:`_lfsr_sequence`); a decision is the AND of the selected bits,
+  one slice of that sequence per AND input, and the positions are the
+  indices of taken decisions.
 
 Equivalence with the event-level samplers is covered by tests.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.condition import ConditionUnit
-from ..core.lfsr import Lfsr, _popcount
+from ..core.lfsr import Lfsr
+
+
+#: Cap on the block the squared recurrence fills in one numpy pass.
+_MAX_BLOCK = 1 << 14
+
+
+def _lfsr_sequence(state: int, width: int, tap_bits: Sequence[int],
+                   count: int) -> np.ndarray:
+    """The first ``count >= width`` output bits of a right-shifting
+    Fibonacci LFSR, as a bool array ``s``.
+
+    Bit ``p`` of the register after ``k`` updates is ``s[k + p]``:
+    ``s[:width]`` is the seed ``state`` and every later bit is the
+    feedback ``s[j + width] = XOR_b s[j + b]`` over ``tap_bits``
+    (which include 0).  Squaring the feedback polynomial ``k`` times
+    gives ``s[m] = XOR_b s[m - 2**k * (width - b)]`` for
+    ``m >= 2**k * width``; every lag is at least ``2**k``, so a block
+    of ``2**k`` new bits is the XOR of ``len(tap_bits)`` earlier
+    slices.  The block doubles whenever enough bits are filled, up to
+    :data:`_MAX_BLOCK`.
+    """
+    seq = np.empty(count, dtype=bool)
+    seq[:width] = [(state >> position) & 1 for position in range(width)]
+    filled, block = width, 1
+    while filled < count:
+        while block < _MAX_BLOCK and filled >= 2 * block * width:
+            block *= 2
+        size = min(block, count - filled)
+        out = seq[filled:filled + size]
+        starts = [filled - block * (width - bit) for bit in tap_bits]
+        np.copyto(out, seq[starts[0]:starts[0] + size])
+        for start in starts[1:]:
+            np.bitwise_xor(out, seq[start:start + size], out=out)
+        filled += size
+    return seq
+
+
+def _brr_decisions(state: int, n: int, width: int,
+                   tap_bits: Sequence[int],
+                   selection: Sequence[int]) -> Tuple[np.ndarray, int]:
+    """Decisions of ``n`` consecutive branch-on-randoms from register
+    ``state``, and the register after them.
+
+    Decision ``k`` is the AND of bits ``selection`` of the register
+    after ``k`` updates, i.e. of ``s[k + p]`` for each selected ``p``.
+    """
+    seq = _lfsr_sequence(state, width, tap_bits, n + width)
+    first = selection[0]
+    decisions = seq[first:first + n].copy()
+    for position in selection[1:]:
+        decisions &= seq[position:position + n]
+    packed = np.packbits(seq[n:n + width], bitorder="little")
+    return decisions, int.from_bytes(packed.tobytes(), "little")
+
+
+def _brr_config(field: int, width: int, taps: Optional[Sequence[int]],
+                seed: int, policy) -> Tuple[int, Tuple[int, ...],
+                                            Tuple[int, ...]]:
+    """Seed state, tap bits and AND-input selection of a configuration,
+    validated by building the hardware model once."""
+    lfsr = Lfsr(width, taps=taps, seed=seed)
+    selection = ConditionUnit(lfsr, policy).bit_selection(field)
+    return lfsr.state, lfsr._tap_bits, selection
 
 
 def periodic_positions(n: int, interval: int, first: Optional[int] = None) -> np.ndarray:
@@ -52,31 +117,14 @@ def brr_decision_array(
     """Taken/not-taken decisions of ``n`` consecutive branch-on-randoms.
 
     Functionally identical to resolving ``n`` times through
-    :class:`~repro.core.brr.BranchOnRandomUnit`, but implemented as a
-    masked shift loop: the AND tree's output is 1 exactly when every
-    selected LFSR bit is set, i.e. ``state & select_mask ==
-    select_mask``.
+    :class:`~repro.core.brr.BranchOnRandomUnit`: the AND tree's output
+    is 1 exactly when every selected LFSR bit is set.
     """
     if n < 0:
         raise ValueError("decision count must be non-negative")
-    # Build the real hardware model once to validate the configuration
-    # and derive the masks.
-    lfsr = Lfsr(width, taps=taps, seed=seed)
-    unit = ConditionUnit(lfsr, policy)
-    select_mask = 0
-    for position in unit.bit_selection(field):
-        select_mask |= 1 << position
-    tap_mask = 0
-    for position in lfsr._tap_bits:
-        tap_mask |= 1 << position
-    top = width - 1
-    state = lfsr.state
-    out = np.empty(n, dtype=bool)
-    for index in range(n):
-        out[index] = (state & select_mask) == select_mask
-        feedback = _popcount(state & tap_mask) & 1
-        state = (state >> 1) | (feedback << top)
-    return out
+    state, tap_bits, selection = _brr_config(field, width, taps, seed,
+                                             policy)
+    return _brr_decisions(state, n, width, tap_bits, selection)[0]
 
 
 def brr_positions(
@@ -131,30 +179,17 @@ class BrrPositionStream:
         seed: int = 1,
         policy="spaced",
     ) -> None:
-        lfsr = Lfsr(width, taps=taps, seed=seed)
-        unit = ConditionUnit(lfsr, policy)
-        self._select_mask = 0
-        for position in unit.bit_selection(field):
-            self._select_mask |= 1 << position
-        self._tap_mask = 0
-        for position in lfsr._tap_bits:
-            self._tap_mask |= 1 << position
-        self._top = width - 1
-        self._state = lfsr.state
+        self._width = width
+        self._state, self._tap_bits, self._selection = _brr_config(
+            field, width, taps, seed, policy)
 
     def take(self, n: int) -> np.ndarray:
         """Sample positions within the next ``n`` events."""
         if n < 0:
             raise ValueError("chunk size must be non-negative")
-        select_mask, tap_mask, top = self._select_mask, self._tap_mask, self._top
-        state = self._state
-        out = np.empty(n, dtype=bool)
-        for index in range(n):
-            out[index] = (state & select_mask) == select_mask
-            feedback = _popcount(state & tap_mask) & 1
-            state = (state >> 1) | (feedback << top)
-        self._state = state
-        return np.flatnonzero(out).astype(np.int64)
+        decisions, self._state = _brr_decisions(
+            self._state, n, self._width, self._tap_bits, self._selection)
+        return np.flatnonzero(decisions).astype(np.int64)
 
 
 def profile_counts(events: np.ndarray, positions: Optional[np.ndarray],

@@ -105,6 +105,53 @@ def method_weights(spec: DacapoSpec) -> np.ndarray:
     return weights / weights.sum()
 
 
+#: Buckets of :class:`_WeightedDraw`'s lookup table.  A power of two,
+#: so ``u * _DRAW_BUCKETS`` is exact in float64 for every uniform ``u``.
+_DRAW_BUCKETS = 1 << 16
+
+#: Uniforms drawn per pass.  Consecutive ``rng.random`` calls continue
+#: one stream, so the slice bounds the peak memory and nothing else.
+_DRAW_SLICE = 1 << 20
+
+
+class _WeightedDraw:
+    """``rng.choice(len(weights), size, p=weights)`` as int32, exactly.
+
+    numpy draws ``cdf.searchsorted(rng.random(size), side="right")``
+    with ``cdf = weights.cumsum(); cdf /= cdf[-1]``.  Here the unit
+    interval is cut into :data:`_DRAW_BUCKETS` buckets: a bucket that
+    holds no cdf value maps every uniform in it to one index, read from
+    a table; only uniforms in the few buckets that do hold one take the
+    binary search.
+    """
+
+    def __init__(self, weights: np.ndarray) -> None:
+        cdf = np.asarray(weights, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        edges = np.arange(_DRAW_BUCKETS + 1) / _DRAW_BUCKETS
+        low = cdf.searchsorted(edges[:-1], side="right")
+        high = cdf.searchsorted(edges[1:], side="left")
+        self._cdf = cdf
+        self._table = np.where(low == high, low, -1).astype(np.int32)
+
+    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        out = np.empty(size, dtype=np.int32)
+        for start in range(0, size, _DRAW_SLICE):
+            # Scaled in place: ``scaled / _DRAW_BUCKETS`` is the uniform
+            # again, exactly.
+            scaled = rng.random(min(_DRAW_SLICE, size - start))
+            scaled *= _DRAW_BUCKETS
+            picks = out[start:start + scaled.size]
+            # Every bucket index is in range; "clip" only spares the
+            # buffered copy numpy makes for a bounds-checked ``out``.
+            np.take(self._table, scaled.astype(np.intp), out=picks,
+                    mode="clip")
+            unresolved = np.flatnonzero(picks < 0)
+            picks[unresolved] = self._cdf.searchsorted(
+                scaled[unresolved] / _DRAW_BUCKETS, side="right")
+        return out
+
+
 def event_chunks(
     spec: DacapoSpec,
     scale: float = 0.1,
@@ -120,7 +167,7 @@ def event_chunks(
     if scale <= 0:
         raise ValueError("scale must be positive")
     total = max(1, int(spec.invocations * scale))
-    weights = method_weights(spec)
+    draw = _WeightedDraw(method_weights(spec))
     rng = np.random.default_rng((spec.seed << 16) ^ seed)
 
     run_length = max(1, spec.pattern_period // spec.pattern_runs)
@@ -149,21 +196,23 @@ def event_chunks(
 
     def flush_ready() -> Iterator[np.ndarray]:
         nonlocal buffer, buffered
-        while buffered >= chunk_size:
-            merged = np.concatenate(buffer)
-            yield merged[:chunk_size]
-            rest = merged[chunk_size:]
-            buffer = [rest] if rest.size else []
-            buffered = rest.size
+        if buffered < chunk_size:
+            return
+        # One copy per flush: every full chunk is a view of it.
+        merged = np.concatenate(buffer)
+        ready = buffered - buffered % chunk_size
+        for start in range(0, ready, chunk_size):
+            yield merged[start:start + chunk_size]
+        rest = merged[ready:]
+        buffer = [rest] if rest.size else []
+        buffered = rest.size
 
     emitting_pattern = False
     while produced < total:
         if emitting_pattern and spec.pattern_fraction > 0:
             segment = pattern_block
         else:
-            segment = rng.choice(
-                spec.methods, size=random_block, p=weights
-            ).astype(np.int32)
+            segment = draw(rng, random_block)
         emitting_pattern = not emitting_pattern
         remaining = total - produced
         if segment.size > remaining:

@@ -170,6 +170,16 @@ class TestBenchFrontEnd:
         assert figure["record_steps_per_s"] > 0
         assert "record/s" in format_bench(data)
         assert "startup" in format_bench(data)
+        assert "positions brr" in format_bench(data)
+
+    def test_positions_block(self):
+        from repro.experiments.bench_timing import bench_position_rates
+
+        positions = bench_position_rates(events=4096, draws=1 << 12)
+        assert positions["brr"]["identical"]
+        assert positions["draw"]["identical"]
+        assert positions["brr"]["take_events_per_s"] > 0
+        assert positions["draw"]["events"] == 1 << 12
 
     def test_startup_block(self):
         from repro.experiments.bench_timing import bench_startup

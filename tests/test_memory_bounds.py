@@ -4,14 +4,26 @@ Two structures used to grow with simulated time rather than with
 program size: the functional simulator's decode cache and the timing
 pipeline's per-cycle bandwidth maps.  Both now carry explicit bounds;
 these tests pin them over a window of >16384 cycles.  The decode
-cache's word table shares its bound.
+cache's word table shares its bound.  The DaCapo streams' weighted
+draw holds one slice of uniforms at a time, however many events it
+draws.
 """
+
+import tracemalloc
+
+import numpy as np
 
 from repro.core.brr import BranchOnRandomUnit
 from repro.isa.asm import assemble
 from repro.sim.machine import Machine
 from repro.sim.trap import BrrTrapEmulator
 from repro.timing.pipeline import TimingSimulator, _Bandwidth
+from repro.workloads.dacapo import (
+    _DRAW_SLICE,
+    DACAPO_BENCHMARKS,
+    _WeightedDraw,
+    method_weights,
+)
 
 #: A tight loop long enough to retire far more than 16384 cycles.
 LONG_LOOP = """
@@ -108,3 +120,25 @@ class TestWordTableBounds:
         assert trap_pc not in machine._decode_cache
         assert trap_word not in machine._word_table
         assert machine._word_table
+
+
+class TestWeightedDrawMemory:
+    def test_draw_peak_is_result_plus_one_slice(self):
+        """``Generator.choice`` holds ``size`` float64 uniforms and
+        ``size`` int64 indices at once (16 bytes per event).  The
+        bucketed draw holds its int32 result plus one slice of
+        temporaries: the scaled uniforms, their bucket indices and the
+        unresolved mask (17 bytes per slice event)."""
+        size = 1 << 23
+        draw = _WeightedDraw(method_weights(DACAPO_BENCHMARKS[-1]))
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            events = draw(rng, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert events.size == size
+        bound = 4 * size + 20 * _DRAW_SLICE
+        assert bound < 16 * size
+        assert peak < bound, f"peak {peak} bytes, bound {bound}"
