@@ -30,7 +30,6 @@ variables — see ``docs/engine.md``).
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence
 
@@ -49,6 +48,7 @@ from .engine import (
     set_engine,
 )
 from .engine import run_doctor as _engine_run_doctor
+from .engine.artifacts import shallow_asdict
 from .stats import SamplingPlan
 
 #: Default per-command scales, shared with the CLI so the two entry
@@ -179,7 +179,7 @@ def run_figure12(*, scale: float = DEFAULT_JVM_SCALE, interval: int = 1024,
     with _engine_ctx(engine):
         report = figure12_report(scale=scale, interval=interval, plan=plan)
     return FigureResult(
-        _sampled_data([dataclasses.asdict(row) for row in report.rows],
+        _sampled_data([shallow_asdict(row) for row in report.rows],
                       report.sampling),
         format_fig12_rows(report.rows, sampling=report.sampling))
 
@@ -233,8 +233,10 @@ def run_figure2(*, scale: int = DEFAULT_MICRO_CHARS,
         decompositions = [decompose(sweep, kind, "full-dup")
                           for kind in ("cbs", "brr")]
     text = "\n".join(format_decomposition(d) for d in decompositions)
-    return FigureResult([dataclasses.asdict(d) for d in decompositions],
-                        text)
+    return FigureResult(
+        [dict(shallow_asdict(d),
+              rows=[shallow_asdict(row) for row in d.rows])
+         for d in decompositions], text)
 
 
 def run_sensitivity(*, scale: float = DEFAULT_ACCURACY_SCALE,
@@ -274,7 +276,7 @@ def run_cost(*, engine: Optional[ExperimentEngine] = None) -> FigureResult:
 
     with _engine_ctx(engine):
         return FigureResult(
-            [dataclasses.asdict(row) for row in cost_rows()],
+            [shallow_asdict(row) for row in cost_rows()],
             format_cost_table())
 
 

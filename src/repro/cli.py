@@ -672,7 +672,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     exit_code = 0
     for name in commands:
         started = time.time()
-        windows_before = len(engine.recorder.records)
+        windows_before = engine.recorder.summary()["windows"]
         data, text = COMMANDS[name](args)
         elapsed = time.time() - started
 
@@ -686,14 +686,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                         for d in data["divergences"]))
 
         if args.json:
+            summary = engine.summary()
             document: Dict[str, Any] = {
                 "command": name,
                 "elapsed_s": round(elapsed, 3),
                 "data": data,
                 "engine": dict(
-                    engine.summary(),
-                    command_windows=(
-                        len(engine.recorder.records) - windows_before),
+                    summary,
+                    command_windows=summary["windows"] - windows_before,
                     jobs=engine.jobs,
                 ),
             }

@@ -29,11 +29,18 @@ from typing import Any, Dict, Mapping, Tuple
 SCHEMA_VERSION = 2
 
 
+#: Exact scalar types ``_canonical`` returns as they are; a subclass
+#: (an ``IntEnum`` value, say) takes the ``isinstance`` path below.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _canonical(value: Any) -> Any:
     """Normalise a parameter value to a hashable canonical form."""
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, (list, tuple)):
         return tuple(_canonical(v) for v in value)
-    if isinstance(value, Mapping):
+    if isinstance(value, (dict, Mapping)):
         return tuple(sorted((str(k), _canonical(v)) for k, v in value.items()))
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
@@ -71,9 +78,8 @@ class WindowSpec:
         """
         return cls(
             kind=kind,
-            params=tuple(sorted(
-                (name, _canonical(value)) for name, value in params.items()
-            )),
+            params=tuple((name, _canonical(params[name]))
+                         for name in sorted(params)),
         )
 
     def param(self, name: str, default: Any = None) -> Any:
@@ -95,14 +101,23 @@ class WindowSpec:
 
     @property
     def cache_key(self) -> str:
-        """Content digest of (schema, kind, params) — the cache key."""
-        blob = json.dumps(
-            {"schema": SCHEMA_VERSION,
-             "kind": self.kind,
-             "params": self.params_dict()},
-            sort_keys=True, separators=(",", ":"),
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """Content digest of (schema, kind, params) — the cache key.
+
+        Computed on first use and kept in the instance ``__dict__``
+        (the dataclass is frozen, so its fields cannot change under
+        it); equality and hashing still read the fields only.
+        """
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            blob = json.dumps(
+                {"schema": SCHEMA_VERSION,
+                 "kind": self.kind,
+                 "params": self.params_dict()},
+                sort_keys=True, separators=(",", ":"),
+            )
+            key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            self.__dict__["_cache_key"] = key
+        return key
 
     @property
     def short_key(self) -> str:
@@ -110,9 +125,18 @@ class WindowSpec:
         return self.cache_key[:12]
 
     def label(self) -> str:
-        """Short human-readable identity for logs."""
-        interesting = ("benchmark", "variant", "kind", "scheme", "schemes",
-                       "interval", "seed", "n_chars", "scale")
-        bits = [f"{k}={self.param(k)}" for k in interesting
-                if self.param(k) is not None]
-        return f"{self.kind}({', '.join(bits)})"
+        """Short human-readable identity for logs (kept like
+        :attr:`cache_key`)."""
+        label = self.__dict__.get("_label")
+        if label is None:
+            params = dict(self.params)
+            bits = [f"{name}={params[name]}" for name in _LABEL_PARAMS
+                    if params.get(name) is not None]
+            label = f"{self.kind}({', '.join(bits)})"
+            self.__dict__["_label"] = label
+        return label
+
+
+#: The parameters :meth:`WindowSpec.label` shows, in this order.
+_LABEL_PARAMS = ("benchmark", "variant", "kind", "scheme", "schemes",
+                 "interval", "seed", "n_chars", "scale")

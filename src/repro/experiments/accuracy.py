@@ -23,7 +23,7 @@ finite-population confidence intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ import numpy as np
 from ..analysis.stats import mean
 from ..core.condition import field_for_interval
 from ..engine import ExperimentEngine, WindowSpec, is_failure, run_population
+from ..engine.artifacts import shallow_asdict
 from ..sampling.positions import (
     BrrPositionStream,
     CounterPositionStream,
@@ -67,7 +68,7 @@ def accuracy_window_spec(
     """
     return WindowSpec.make(
         "accuracy",
-        benchmark=asdict(spec),
+        benchmark=shallow_asdict(spec),
         interval=interval,
         schemes=tuple(schemes),
         scale=scale,

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..engine import ExperimentEngine, WindowSpec, is_failure, run_population
+from ..engine.artifacts import shallow_asdict
 from ..stats import (
     Cell,
     SamplingPlan,
@@ -104,10 +105,9 @@ class MicrobenchSweep:
         exhaustive JSON output is unchanged from the pre-sampling
         pipeline.
         """
-        from dataclasses import asdict
-
-        data = asdict(self)
-        data.pop("sampling", None)
+        data = shallow_asdict(self)
+        data["points"] = [shallow_asdict(point) for point in self.points]
+        del data["sampling"]
         if self.sampling is not None:
             data["sampling"] = self.sampling.to_dict()
         return data

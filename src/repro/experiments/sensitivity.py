@@ -283,8 +283,9 @@ def timing_config_sweep(
     records the instruction stream once and replays it per
     configuration: N configurations cost one functional execution
     instead of N (and zero when the trace is already warm).  The
-    returned accounting is taken from the engine's run records, the
-    same numbers written to the JSONL artifact.
+    returned accounting is the sweep's delta of the engine recorder's
+    ``functional_steps``, summed from the same window records written
+    to the JSONL artifact.
     """
     configs = configs if configs is not None else paper_timing_ablations()
     engine = engine or get_engine()
@@ -298,7 +299,7 @@ def timing_config_sweep(
         )
         for name, config in configs.items()
     ))
-    first_new_record = len(engine.recorder.records)
+    steps_before = engine.recorder.summary()["functional_steps"]
     run = run_population(population, engine=engine)
 
     table: Dict[str, Dict[str, float]] = {}
@@ -314,10 +315,8 @@ def timing_config_sweep(
             "total_steps": result["total_steps"],
         }
         lockstep_steps += result["total_steps"]
-    functional_steps = sum(
-        record.functional_steps or 0
-        for record in engine.recorder.records[first_new_record:]
-    )
+    functional_steps = (engine.recorder.summary()["functional_steps"]
+                        - steps_before)
     return TimingSweepResult(
         label=(f"timing-config sweep (microbench {variant}/{kind}, "
                f"{n_chars} chars, 1/{interval})"),

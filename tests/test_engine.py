@@ -6,8 +6,10 @@ the load-bearing property — that serial, parallel and warm-cache
 execution produce byte-identical reduced results.
 """
 
+import dataclasses
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -17,8 +19,10 @@ from repro.engine import (
     ExperimentEngine,
     ResultCache,
     RunRecorder,
+    WindowRecord,
     WindowSpec,
 )
+from repro.engine.integrity import ledger_line_crc
 from repro.timing.config import PAPER_CONFIG, TimingConfig
 from repro.timing.pipeline import TimingStats
 from repro.timing.runner import WindowResult
@@ -258,3 +262,132 @@ class TestRunArtifacts:
         assert summary["failures"] == 0
         assert summary["retries"] == 0
         assert summary["resumed"] == 0
+
+
+def _list_summary(records, plans):
+    """The recorder's summary as it was computed when the recorder
+    kept every record: one scan of the list per field.  The oracle for
+    the running aggregates (``elapsed_s`` aside)."""
+    def tally(values):
+        counts = Counter(value for value in values if value is not None)
+        return dict(sorted(counts.items()))
+
+    hits = sum(1 for r in records if r.cache == "hit")
+    failures = sum(1 for r in records if r.cache == "failed")
+    return {
+        "plans": [dict(plan) for plan in plans],
+        "windows": len(records),
+        "cache_hits": hits,
+        "cache_misses": len(records) - hits - failures,
+        "failures": failures,
+        "retries": sum(max(0, (r.attempts or 1) - 1) for r in records),
+        "window_wall_s": round(sum(r.wall_s for r in records), 4),
+        "simulated_cycles": sum(r.cycles or 0 for r in records),
+        "simulated_instructions": sum(r.instructions or 0 for r in records),
+        "workers": sorted({r.worker for r in records
+                           if r.worker is not None}),
+        "trace_hits": sum(1 for r in records if r.trace == "hit"),
+        "trace_misses": sum(1 for r in records if r.trace == "miss"),
+        "functional_steps": sum(r.functional_steps or 0 for r in records),
+        "fastpath_windows": sum(1 for r in records
+                                if r.timing_path == "fast"),
+        "goldenpath_windows": sum(1 for r in records
+                                  if r.timing_path == "golden"),
+        "timing_kernels": tally(r.timing_kernel for r in records),
+        "timing_routes": tally(r.timing_route for r in records),
+        "validation_passes": sum(1 for r in records
+                                 if r.validation == "pass"),
+        "validation_divergences": sum(1 for r in records
+                                      if r.validation == "divergence"),
+    }
+
+
+def _mixed_records():
+    """Hits, misses and failed placeholders from several workers, with
+    retries, trace hits/misses/off, every kernel and route, and
+    validation passes and divergences.  Wall times are binary
+    fractions, so every summation order gives the same float."""
+    def window(index, cache, **fields):
+        defaults = dict(key=f"{index:064x}", kind="microbench",
+                        label=f"microbench(seed={index})", cache=cache,
+                        wall_s=0.0, worker=None, cycles=None,
+                        instructions=None, ts=1000.0 + index)
+        return WindowRecord(**dict(defaults, **fields))
+
+    records = []
+    for index in range(60):
+        shape = index % 6
+        if shape == 0:
+            records.append(window(index, "hit", cycles=1000 + index,
+                                  instructions=700 + index))
+        elif shape == 1:
+            records.append(window(
+                index, "miss", wall_s=0.125 * (index % 5), worker=4000 + index % 3,
+                cycles=5000 + index, instructions=3000 + index,
+                trace="miss", trace_bytes=2048, functional_steps=3000 + index,
+                timing_path="fast", timing_kernel="vector",
+                timing_route="admitted", replay_records_per_s=1.5e6,
+                attempts=1 + index % 3, validation="pass"))
+        elif shape == 2:
+            records.append(window(
+                index, "miss", wall_s=0.5, worker=4001, cycles=6000,
+                instructions=4000, trace="hit", trace_bytes=2048,
+                functional_steps=0, timing_path="fast",
+                timing_kernel="loop", timing_route="dense", attempts=2,
+                validation="divergence" if index % 4 else None))
+        elif shape == 3:
+            records.append(window(
+                index, "miss", wall_s=0.25, worker=4002, cycles=7000,
+                instructions=5000, trace="off", functional_steps=5000,
+                timing_path="lockstep", attempts=1))
+        elif shape == 4:
+            records.append(window(
+                index, "failed", attempts=4, error="RuntimeError('x')"))
+        else:
+            records.append(window(
+                index, "miss", wall_s=0.75, worker=4000, cycles=None,
+                trace="miss", functional_steps=100, timing_path="golden",
+                timing_kernel="golden", timing_route="envelope",
+                attempts=1))
+    return records
+
+
+class TestRunRecorderAggregates:
+    def test_empty_summary_matches_list_oracle(self):
+        summary = RunRecorder().summary()
+        summary.pop("elapsed_s")
+        assert json.dumps(summary, sort_keys=True) \
+            == json.dumps(_list_summary([], []), sort_keys=True)
+
+    def test_running_summary_matches_list_oracle(self):
+        recorder = RunRecorder()
+        records = _mixed_records()
+        plans = []
+        for index, record in enumerate(records):
+            recorder.record(record)
+            if index % 25 == 0:
+                plan = {"plan": f"fraction:0.{index + 1}", "cells": index}
+                recorder.write_plan(plan)
+                plans.append(plan)
+            summary = recorder.summary()
+            assert isinstance(summary.pop("elapsed_s"), float)
+            # json.dumps also tells an int total from a float one.
+            assert json.dumps(summary, sort_keys=True) == json.dumps(
+                _list_summary(records[:index + 1], plans), sort_keys=True)
+        summary = recorder.summary()
+        assert summary["failures"] and summary["retries"]
+        assert summary["validation_divergences"]
+        assert set(summary["timing_kernels"]) == {"golden", "loop", "vector"}
+
+    def test_ledger_lines_are_asdict_lines(self, tmp_path):
+        log = tmp_path / "run.jsonl"
+        recorder = RunRecorder(log)
+        records = _mixed_records()
+        for record in records:
+            recorder.record(record)
+        expected = []
+        for record in records:
+            payload = dataclasses.asdict(record)
+            payload["crc"] = ledger_line_crc(payload)
+            expected.append(json.dumps(payload, sort_keys=True))
+        assert log.read_text().splitlines() == expected

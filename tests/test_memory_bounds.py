@@ -6,15 +6,25 @@ pipeline's per-cycle bandwidth maps.  Both now carry explicit bounds;
 these tests pin them over a window of >16384 cycles.  The decode
 cache's word table shares its bound.  The DaCapo streams' weighted
 draw holds one slice of uniforms at a time, however many events it
-draws.
+draws.  A served warm request leaves the engine's run recorder a few
+counters richer, not a record per window.
 """
 
+import asyncio
+import gc
 import tracemalloc
 
 import numpy as np
 
 from repro.core.brr import BranchOnRandomUnit
+from repro.engine import (
+    EngineConfig,
+    ExperimentEngine,
+    ResultCache,
+    TraceStore,
+)
 from repro.isa.asm import assemble
+from repro.serve.service import SimulationService
 from repro.sim.machine import Machine
 from repro.sim.trap import BrrTrapEmulator
 from repro.timing.pipeline import TimingSimulator, _Bandwidth
@@ -142,3 +152,61 @@ class TestWeightedDrawMemory:
         bound = 4 * size + 20 * _DRAW_SLICE
         assert bound < 16 * size
         assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
+
+#: The served request mix of the repository benchmark, at its tiny
+#: input scale: Figures 13/14/2 share their windows, a sampled Figure
+#: 13 selects half of them, and Figure 12 (one sampled cell), Figures
+#: 9/10 and the cost table bring their own.
+_MICRO = {"scale": 12, "seed": 1}
+SERVED_MIX = (
+    ("figure13", _MICRO),
+    ("figure14", _MICRO),
+    ("figure2", _MICRO),
+    ("figure13", dict(_MICRO, sample="fraction:0.5")),
+    ("figure12", {"scale": 0.25, "interval": 1024, "sample": "budget:1"}),
+    ("figure9", {"scale": 0.001, "seed": 0}),
+    ("figure10", {"scale": 0.001, "seed": 0}),
+    ("cost", {}),
+)
+
+
+class TestServedRequestMemory:
+    def test_warm_requests_retain_under_2kib_each(self, tmp_path):
+        """The engine used to keep every window record it ever made:
+        about 26 KiB per warm request of this mix, for as long as
+        ``repro serve`` ran.  What a request still retains is mostly
+        the plan record each sampled request adds to the summary's
+        ``plans`` list."""
+        engine = ExperimentEngine(
+            config=EngineConfig(jobs=1),
+            cache=ResultCache(root=tmp_path / "results"),
+            trace_store=TraceStore(tmp_path / "traces"))
+        service = SimulationService(engine=engine)
+        loop = asyncio.new_event_loop()
+
+        def serve(requests):
+            for index in range(requests):
+                command, params = SERVED_MIX[index % len(SERVED_MIX)]
+                loop.run_until_complete(service.submit(command, params))
+
+        try:
+            serve(2 * len(SERVED_MIX))  # cold pass, then a warm one
+            warm = engine.summary()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                serve(200)
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            summary = engine.summary()
+        finally:
+            loop.run_until_complete(loop.shutdown_default_executor())
+            loop.close()
+        served = summary["windows"] - warm["windows"]
+        assert served > 200 * 20
+        assert summary["cache_hits"] - warm["cache_hits"] == served
+        assert retained / 200 < 2048, f"{retained / 200:.0f} B/request"

@@ -186,6 +186,24 @@ class TestSweepAccounting:
         assert summary["trace_misses"] == 1
         assert summary["trace_hits"] == n_configs - 1
 
+    def test_second_sweep_counts_only_its_own_steps(self, tmp_path):
+        """The sweep's ``functional_steps`` is its delta of the engine
+        recorder's running total, so a second sweep on one engine
+        reports its own windows' steps, as summed in the ledger."""
+        from repro.experiments import timing_config_sweep
+
+        engine = self._engine(tmp_path, "twice")
+        first = timing_config_sweep(n_chars=300, engine=engine)
+        second = timing_config_sweep(n_chars=200, engine=engine)
+        lines = [json.loads(line) for line in
+                 (tmp_path / "twice.jsonl").read_text().splitlines()]
+        split = len(first.configs)
+        assert len(lines) == split + len(second.configs)
+        assert first.functional_steps \
+            == sum(l["functional_steps"] for l in lines[:split])
+        assert second.functional_steps \
+            == sum(l["functional_steps"] for l in lines[split:]) > 0
+
     def test_warm_sweep_pays_zero_functional_steps(self, tmp_path):
         from repro.experiments import timing_config_sweep
 
