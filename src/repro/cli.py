@@ -19,7 +19,6 @@ Usage::
     python -m repro resume RUN.jsonl   # finish an interrupted run
     python -m repro doctor [RUN.jsonl] [--repair]  # integrity audit
     python -m repro serve [--host H] [--port P]  # HTTP simulation service
-    python -m repro chaos-serve [--rate 0.2] [--requests 6]  # chaos harness
 
 ``--scale`` is the one scaling knob and is interpreted per command:
 fraction of the paper's invocation counts for the accuracy figures
@@ -217,7 +216,7 @@ SAMPLED_COMMANDS = ("figure9", "figure10", "figure12", "figure13",
                     "figure14", "entropy")
 
 #: Commands whose workload/plan seeding honours ``--seed``.
-SEEDED_COMMANDS = SAMPLED_COMMANDS + ("figure2", "fuzz", "chaos-serve")
+SEEDED_COMMANDS = SAMPLED_COMMANDS + ("figure2", "fuzz")
 
 #: ``repro cache`` actions; the command lives outside COMMANDS so that
 #: ``repro all`` regenerates figures without touching the stores.
@@ -301,10 +300,10 @@ def _serve_command(args, engine: ExperimentEngine,
 
     Blocks until interrupted or drained.  SIGTERM (and
     ``POST /v1/admin/drain``) triggers a graceful drain — stop
-    admitting, finish or deadline-cancel in-flight requests, flush the
-    store tiers — then exits 0.  The engine (and therefore the tiered
-    stores and any ``--log-jsonl`` ledger) is shared by every request;
-    see ``docs/serve.md`` for the wire protocol.
+    admitting, finish or deadline-cancel in-flight requests — then
+    exits 0.  The engine (and therefore the tiered stores and any
+    ``--log-jsonl`` ledger) is shared by every request; see
+    ``docs/serve.md`` for the wire protocol.
     """
     import asyncio
     import signal
@@ -339,38 +338,6 @@ def _serve_command(args, engine: ExperimentEngine,
     except KeyboardInterrupt:
         print("[serve: interrupted]", file=sys.stderr)
     return 0
-
-
-def _chaos_serve_command(args, out_dir: Optional[pathlib.Path]
-                         ) -> Tuple[Any, str, int]:
-    """``repro chaos-serve``: the deterministic chaos harness.
-
-    Serves ``--chaos-command`` twice — clean and under a fault-injected
-    backend — byte-compares every response, and exercises deadlines,
-    breaker recovery, drain and the warm-restart path.  Exits non-zero
-    on any failed check; ``--out`` writes ``CHAOS_report.json``.
-    """
-    from .serve import FAULT_MODES, format_chaos, run_chaos_serve
-
-    modes = (tuple(part.strip() for part in args.modes.split(",")
-                   if part.strip())
-             if args.modes else FAULT_MODES)
-    params: Dict[str, Any] = {}
-    if args.scale is not None:
-        params["scale"] = int(args.scale)
-    report = run_chaos_serve(
-        command=args.chaos_command,
-        params=params,
-        requests=max(1, args.requests),
-        seed=args.seed if args.seed is not None else 0,
-        rate=args.rate,
-        modes=modes,
-    )
-    data = report.to_dict()
-    if out_dir is not None:
-        (out_dir / "CHAOS_report.json").write_text(
-            json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return data, format_chaos(report), 1 if report.failed else 0
 
 
 def _resume_command(args, parser: argparse.ArgumentParser) -> int:
@@ -417,17 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command",
                         choices=list(COMMANDS) + ["all", "cache", "bench",
                                                   "resume", "doctor",
-                                                  "serve", "chaos-serve"],
+                                                  "serve"],
                         help="which figure/table to regenerate, `cache` to "
                              "inspect/maintain the on-disk stores, `bench` "
                              "to run the fastpath-vs-golden timing "
                              "benchmark (writes BENCH_timing.json under "
                              "--out), `resume` to finish an interrupted "
                              "run from its JSONL log, `doctor` to audit "
-                             "store/ledger integrity, `serve` to run "
-                             "the HTTP simulation service (docs/serve.md), "
-                             "or `chaos-serve` to prove the service "
-                             "absorbs a fault-injected backend")
+                             "store/ledger integrity, or `serve` to run "
+                             "the HTTP simulation service (docs/serve.md)")
     parser.add_argument("action", nargs="?", default=None,
                         help="for `cache`: stats (default), prune stale "
                              "versions, or clear everything; for `resume`: "
@@ -500,19 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="for `fuzz`: additionally byte-compare each "
                              "window served by an ephemeral repro serve "
                              "instance against the local façade")
-    parser.add_argument("--rate", type=float, default=0.2,
-                        help="for `chaos-serve`: deterministic fault-"
-                             "injection probability per backend call "
-                             "(default: 0.2)")
-    parser.add_argument("--requests", type=int, default=6,
-                        help="for `chaos-serve`: size of the request sweep "
-                             "(default: 6)")
-    parser.add_argument("--chaos-command", type=str, default="figure13",
-                        help="for `chaos-serve`: the figure command to "
-                             "serve under chaos (default: figure13)")
-    parser.add_argument("--modes", type=str, default=None,
-                        help="for `chaos-serve`: comma-separated fault "
-                             "modes (slow,error,hang,torn; default: all)")
     parser.add_argument("--repair", action="store_true",
                         help="for `doctor`: quarantine corrupt store "
                              "entries and rewrite damaged ledgers instead "
@@ -565,8 +517,6 @@ def _build_engine(args, out_dir: Optional[pathlib.Path]) -> ExperimentEngine:
         root=pathlib.Path(args.cache_dir) if args.cache_dir else None,
         enabled=not args.no_cache and cache_enabled_by_env(),
         policy=config.integrity,
-        backend=config.store_backend,
-        breaker=config.breaker,
     )
     engine = ExperimentEngine(config=config, cache=cache,
                               recorder=RunRecorder(log_path))
@@ -608,19 +558,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     try:
         engine = _build_engine(args, out_dir)
-    except ValueError as exc:  # a malformed REPRO_* value or backend spec
+    except ValueError as exc:  # a malformed or retired REPRO_* value
         parser.error(str(exc))
 
     if args.command == "serve":
         return _serve_command(args, engine, parser)
-
-    if args.command == "chaos-serve":
-        data, text, code = _chaos_serve_command(args, out_dir)
-        if args.json:
-            print(json.dumps(data, indent=2, sort_keys=True))
-        else:
-            print(text)
-        return code
 
     if args.command == "cache":
         data, text = _cache_command(args, engine)

@@ -1,5 +1,5 @@
 """Content-addressed cache of window results — a typed view over the
-three-tier store layer (:mod:`repro.store`).
+two-tier store layer (:mod:`repro.store`).
 
 On disk, results live under
 ``<root>/v<SCHEMA_VERSION>/<key[:2]>/<key>.json`` where ``key`` is the
@@ -9,10 +9,7 @@ parameter — see ``docs/engine.md``); the layout is byte-for-byte what
 the pre-refactor cache wrote.  Above the disk sits an in-process LRU
 of canonical payload bytes (bounded by entries and bytes —
 ``REPRO_MEM_ENTRIES`` / ``REPRO_MEM_BYTES``), filled on verified
-reads; below it an optional shared backend (a spec such as
-``fs:<dir>``, ``EngineConfig.store_backend``) lets many replicas share
-one corpus — a local miss falls through to the backend, and every
-``put`` publishes back.  Entries are written
+reads.  Entries are written
 atomically (temp file + ``os.replace``), so concurrent workers and
 concurrent processes sharing one cache directory never tear each
 other.
@@ -22,7 +19,7 @@ sha256 and the schema version — recomputed on read
 (``docs/integrity.md``).  What a mismatch becomes is the cache's
 ``policy``: ``verify`` (quarantine + raise), ``repair`` (the default:
 quarantine to ``<root>/quarantine/`` with a reason file and
-transparently recompute — or re-fetch from the shared backend) or
+transparently recompute) or
 ``trust`` (skip digest verification; an unparseable entry is still
 dropped, as before the integrity layer).
 
@@ -35,16 +32,13 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 from ..store import (
-    Backend,
     Codec,
     DiskTier,
     MemoryTier,
     TieredStore,
-    make_backend,
-    maybe_wrap_breaker,
     memory_bytes_from_env,
     memory_entries_from_env,
     payload_digest,
@@ -62,19 +56,6 @@ def default_cache_dir() -> pathlib.Path:
 def cache_enabled_by_env() -> bool:
     """``REPRO_CACHE`` (default on); a malformed value raises."""
     return env_value("REPRO_CACHE", parse_flag, True)
-
-
-def resolve_backend(backend: Union[Backend, str, None],
-                    namespace: str,
-                    breaker: bool = True) -> Optional[Backend]:
-    """The shared-backend constructor argument, resolved: a live
-    :class:`Backend` (used as-is — callers wrap their own), a spec
-    string, or ``None`` (no shared tier).  Spec-named backends are
-    wrapped in a :class:`~repro.store.backend.CircuitBreakerBackend`
-    unless ``breaker`` is false."""
-    if backend is None or isinstance(backend, Backend):
-        return backend
-    return maybe_wrap_breaker(make_backend(backend, namespace), breaker)
 
 
 class _ResultCodec(Codec):
@@ -132,21 +113,17 @@ class ResultCache:
                  enabled: bool = True,
                  policy: str = "repair",
                  memory_entries: Optional[int] = None,
-                 memory_bytes: Optional[int] = None,
-                 backend: Union[Backend, str, None] = None,
-                 breaker: bool = True) -> None:
+                 memory_bytes: Optional[int] = None) -> None:
         self.root = pathlib.Path(root) if root else default_cache_dir()
         self.enabled = enabled
-        codec = _ResultCodec()
         self._tiers = TieredStore(
             disk=DiskTier(self.root, SCHEMA_VERSION, ".json"),
-            codec=codec,
+            codec=_ResultCodec(),
             memory=MemoryTier(
                 max_entries=(memory_entries if memory_entries is not None
                              else memory_entries_from_env()),
                 max_bytes=(memory_bytes if memory_bytes is not None
                            else memory_bytes_from_env())),
-            backend=resolve_backend(backend, codec.namespace, breaker),
             policy=policy,
             promote_on_put=False,
             durable=True,
@@ -164,10 +141,6 @@ class ResultCache:
     def integrity(self):
         return self._tiers.integrity
 
-    @property
-    def backend(self) -> Optional[Backend]:
-        return self._tiers.backend
-
     def _path(self, key: str) -> pathlib.Path:
         return self._tiers.disk.path(key)
 
@@ -181,8 +154,7 @@ class ResultCache:
         Reads walk the tier stack: memory LRU, then the local disk
         entry (verified per the policy — a corrupt one is quarantined
         under ``verify``/``repair``, and raises :class:`IntegrityError`
-        under ``verify``), then the shared backend, whose fetch fills
-        the local tiers on the way up.
+        under ``verify``).
         """
         if not self.enabled:
             return None
@@ -199,9 +171,7 @@ class ResultCache:
         The entry is flushed and fsynced *before* the rename, so a
         window that completed before a crash or SIGKILL is durably
         cached — the invariant ``repro resume`` relies on to execute
-        only the missing windows.  With a shared backend configured
-        the entry is also published there (best-effort).  Returns True
-        when the entry landed.
+        only the missing windows.  Returns True when the entry landed.
         """
         if not self.enabled:
             return False
@@ -225,10 +195,6 @@ class ResultCache:
         """Per-tier hit/miss/byte counters only (cheap — no disk walk);
         what the engine folds into its JSONL run summaries."""
         return self._tiers.tier_counters()
-
-    def flush(self) -> Dict[str, int]:
-        """Retry backend publishes that failed (graceful drain)."""
-        return self._tiers.flush()
 
     def scan(self, repair: bool = False) -> Dict[str, Any]:
         """Verify every current-version entry (the ``repro doctor``

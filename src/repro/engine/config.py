@@ -3,9 +3,9 @@
 :class:`EngineConfig` consolidates every scalar knob of the
 :class:`~repro.engine.core.ExperimentEngine` — worker count, replay
 kernel, per-window timeout, retry budget and backoff, failure policy,
-fault-injection rate, store policy and shared tier, and the resume
-source.  It is frozen, JSON round-trippable (``to_dict``/``from_dict``)
-and every field has a concrete library default, so a constructed
+fault-injection rate, store policy, and the resume source.  It is
+frozen, JSON round-trippable (``to_dict``/``from_dict``) and every
+field has a concrete library default, so a constructed
 config never consults the environment.  :meth:`EngineConfig.from_env`
 is the one function that reads the ``REPRO_*`` engine variables; a
 malformed value raises ``ValueError`` naming the variable.  The table
@@ -23,7 +23,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from ..store.backend import DISABLED_SPECS
 from ..store.base import parse_flag, parse_float, parse_int
 from ..store.integrity import INTEGRITY_POLICIES
 from ..timing.fastpath import FAST_MODES
@@ -32,6 +31,11 @@ from .tracestore import DEFAULT_TRACE_HANDLES
 
 #: Allowed values of :attr:`EngineConfig.failure_policy`.
 FAILURE_POLICIES = ("raise", "retry", "skip")
+
+#: ``REPRO_STORE_BACKEND`` values that leave the (removed) shared store
+#: backend off; any other value is rejected by
+#: :meth:`EngineConfig.from_env` rather than ignored.
+DISABLED_SPECS = ("", "0", "none", "off", "no")
 
 def _choice(choices: Tuple[str, ...]) -> Callable[[str, str], str]:
     def parse(name: str, raw: str) -> str:
@@ -64,9 +68,6 @@ _ENV_FIELDS: Tuple[Tuple[str, str, Callable[[str, str], Any]], ...] = (
     ("validate_every", "REPRO_VALIDATE", _positive_or_none(parse_int)),
     ("validate_policy", "REPRO_VALIDATE_POLICY",
      _choice(VALIDATE_POLICIES)),
-    ("store_backend", "REPRO_STORE_BACKEND",
-     lambda n, r: None if r.lower() in DISABLED_SPECS else r),
-    ("breaker", "REPRO_BREAKER", parse_flag),
     ("trace_handles", "REPRO_TRACE_HANDLES",
      lambda n, r: max(1, parse_int(n, r))),
     ("seed", "REPRO_SEED", parse_int),
@@ -115,15 +116,6 @@ class EngineConfig:
     #: What a watchdog divergence becomes: ``warn`` (keep fast stats,
     #: log), ``fallback`` (return golden stats), ``raise`` (abort).
     validate_policy: str = "fallback"
-    #: Shared store-backend spec (``fs://<dir>`` or a bare directory);
-    #: ``None`` disables the shared tier — see :mod:`repro.store.backend`.
-    store_backend: Optional[str] = None
-    #: Wrap the shared backend in a
-    #: :class:`~repro.store.backend.CircuitBreakerBackend` so a flaky
-    #: or hung backend degrades the stores to local-tiers-only instead
-    #: of stalling every request.  The breaker's thresholds come from
-    #: ``REPRO_BREAKER_*`` (see ``docs/serve.md``).
-    breaker: bool = True
     #: Bound of the trace store's open-handle LRU.
     trace_handles: int = DEFAULT_TRACE_HANDLES
     #: Uniform experiment seed (``--seed`` / ``REPRO_SEED``): the
@@ -175,8 +167,16 @@ class EngineConfig:
         """Resolve every ``REPRO_*`` engine variable; ``overrides`` win.
 
         Unset or empty variables keep the field default; a value that
-        does not parse raises ``ValueError`` naming the variable.
+        does not parse raises ``ValueError`` naming the variable.  So
+        does a ``REPRO_STORE_BACKEND`` that would enable the removed
+        shared store backend.
         """
+        retired = os.environ.get("REPRO_STORE_BACKEND", "").strip()
+        if retired.lower() not in DISABLED_SPECS:
+            raise ValueError(
+                f"REPRO_STORE_BACKEND={retired!r}: the shared store "
+                f"backend was removed; the stores are memory and local "
+                f"disk only (unset the variable)")
         values: Dict[str, Any] = {}
         for field, name, parse in _ENV_FIELDS:
             raw = os.environ.get(name, "").strip()

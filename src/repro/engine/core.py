@@ -240,8 +240,7 @@ def _pool_execute(item: Tuple[int, Dict[str, Any], _WorkerRun, int]):
     maybe_inject(spec.cache_key, attempt, cfg.fault_rate, in_worker=True)
     store = TraceStore(run.trace_root, enabled=run.trace_enabled,
                        policy=cfg.integrity, handles=cfg.trace_handles,
-                       backend=cfg.store_backend, pages=run.pages,
-                       breaker=cfg.breaker)
+                       pages=run.pages)
     validation = ValidationSettings(every=cfg.validate_every,
                                     policy=cfg.validate_policy)
     with fastpath_override(cfg.fast), active_store(store), \
@@ -280,17 +279,13 @@ class ExperimentEngine:
         self.jobs = max(1, config.jobs or 1)
         if cache is None:
             cache = ResultCache(enabled=cache_enabled_by_env(),
-                                policy=config.integrity,
-                                backend=config.store_backend,
-                                breaker=config.breaker)
+                                policy=config.integrity)
         self.cache = cache
         if trace_store is None:
             trace_store = TraceStore(default_trace_dir(cache.root),
                                      enabled=trace_enabled_by_env(),
                                      policy=config.integrity,
-                                     handles=config.trace_handles,
-                                     backend=config.store_backend,
-                                     breaker=config.breaker)
+                                     handles=config.trace_handles)
         self.trace_store = trace_store
         #: Watchdog settings installed around execution (serial) or
         #: shipped to each pool worker.
@@ -767,13 +762,6 @@ class ExperimentEngine:
             error=error,
             validation=trace_info.get("validation"),
         ))
-
-    def flush_stores(self) -> Dict[str, Dict[str, int]]:
-        """Retry failed backend publishes on both stores (graceful
-        drain / ``repro serve`` shutdown): pending pushes get one more
-        chance to reach the shared corpus before the process exits."""
-        return {"results": self.cache.flush(),
-                "traces": self.trace_store.flush()}
 
     def summary(self) -> Dict[str, Any]:
         return dict(self.recorder.summary(), resumed=self.resumed,

@@ -1,5 +1,5 @@
 """Content-addressed store of recorded execution traces — a typed view
-over the three-tier store layer (:mod:`repro.store`).
+over the two-tier store layer (:mod:`repro.store`).
 
 The result cache (:mod:`repro.engine.cache`) memoises whole window
 *payloads* under the full spec digest — program, seeds, markers **and**
@@ -22,10 +22,7 @@ replays the same key once per configuration, and sharing the handle
 amortises the one-time columnar decode across all of them.  The handle
 LRU is bounded by ``handles`` (default :data:`DEFAULT_TRACE_HANDLES`;
 the engine passes
-:attr:`~repro.engine.config.EngineConfig.trace_handles`).  An optional
-shared backend (``EngineConfig.store_backend``) sits underneath: a
-local miss fetches the recorded trace from the shared corpus instead
-of paying a functional re-execution.
+:attr:`~repro.engine.config.EngineConfig.trace_handles`).
 
 Every trace carries per-section CRC32s (``docs/integrity.md``); what a
 failed verification becomes is the store's ``policy`` — ``verify``
@@ -44,18 +41,12 @@ import hashlib
 import json
 import os
 import pathlib
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 from ..sim.trace_io import RecordedTrace, TraceFormatError
-from ..store import (
-    Backend,
-    Codec,
-    DiskTier,
-    MemoryTier,
-    TieredStore,
-)
+from ..store import Codec, DiskTier, MemoryTier, TieredStore
 from ..store.base import env_value, parse_flag
-from .cache import default_cache_dir, resolve_backend
+from .cache import default_cache_dir
 
 #: Folded into every trace key and the on-disk layout.  Bump whenever
 #: the functional semantics of window execution or the trace encoding
@@ -132,9 +123,7 @@ class TraceStore:
                  enabled: bool = True,
                  policy: str = "repair",
                  handles: int = DEFAULT_TRACE_HANDLES,
-                 backend: Union[Backend, str, None] = None,
-                 pages: Optional[Dict[str, str]] = None,
-                 breaker: bool = True) -> None:
+                 pages: Optional[Dict[str, str]] = None) -> None:
         self.root = pathlib.Path(root) if root else default_trace_dir()
         self.enabled = enabled
         #: ``{functional key: shared-memory segment name}`` published
@@ -143,12 +132,10 @@ class TraceStore:
         #: re-reading and re-decoding the trace file.
         self._pages: Dict[str, str] = dict(pages or {})
         self._attached: Dict[str, Any] = {}
-        codec = _TraceCodec()
         self._tiers = TieredStore(
             disk=DiskTier(self.root, TRACE_STORE_VERSION, ".trace"),
-            codec=codec,
+            codec=_TraceCodec(),
             memory=MemoryTier(max_entries=max(1, handles), max_bytes=None),
-            backend=resolve_backend(backend, codec.namespace, breaker),
             policy=policy,
             # record() keeps the fresh handle hot: the recording config
             # immediately replays it, then every sibling config does.
@@ -166,10 +153,6 @@ class TraceStore:
     @property
     def integrity(self):
         return self._tiers.integrity
-
-    @property
-    def backend(self) -> Optional[Backend]:
-        return self._tiers.backend
 
     @property
     def handle_limit(self) -> Optional[int]:
@@ -193,8 +176,8 @@ class TraceStore:
     def load(self, key: str) -> Optional[RecordedTrace]:
         """The recorded trace for ``key``, or ``None`` on a miss.
 
-        Reads walk the tier stack — handle LRU, local disk, shared
-        backend.  A corrupt entry is quarantined under
+        Reads walk the tier stack — handle LRU, then local disk.  A
+        corrupt entry is quarantined under
         ``verify``/``repair`` (and raises :class:`IntegrityError`
         under ``verify``); under ``trust`` checksums are skipped and
         structurally broken entries are silently dropped, as before
@@ -236,9 +219,8 @@ class TraceStore:
 
         ``recorder(path)`` must write a complete trace file at the
         given path — typically a closure over
-        :func:`repro.timing.runner.record_window`.  With a shared
-        backend configured the recorded file is also published there.
-        With the store disabled, the recording happens in memory and
+        :func:`repro.timing.runner.record_window`.  With the store
+        disabled, the recording happens in memory and
         nothing is persisted.
         """
         if not self.enabled:
@@ -259,10 +241,6 @@ class TraceStore:
     def tier_counters(self) -> Dict[str, Any]:
         """Per-tier hit/miss/byte counters only (cheap — no disk walk)."""
         return self._tiers.tier_counters()
-
-    def flush(self) -> Dict[str, int]:
-        """Retry backend publishes that failed (graceful drain)."""
-        return self._tiers.flush()
 
     def scan(self, repair: bool = False) -> Dict[str, Any]:
         """Verify every stored trace (the ``repro doctor`` pass).

@@ -8,8 +8,8 @@ key, **coalesced** (concurrent identical requests share a single
 computation) and queued into a bounded worker pool that executes them
 through one shared :class:`~repro.engine.core.ExperimentEngine` — so
 N tenants asking for the same figure pay for it once, and everything
-they don't share still flows through the three-tier result store
-(memory LRU → disk → optional shared backend, ``docs/engine.md``).
+they don't share still flows through the two-tier result store
+(memory LRU → disk, ``docs/engine.md``).
 
 ``GET /healthz`` answers liveness; ``GET /statsz`` surfaces the serve
 counters (requests/coalesced/simulations/errors) next to both stores'
@@ -17,13 +17,6 @@ per-tier telemetry — the same counters the engine folds into its JSONL
 run summaries.  See ``docs/serve.md`` for the wire protocol.
 """
 
-from .chaos import (
-    FAULT_MODES,
-    ChaosReport,
-    FaultyBackend,
-    format_chaos,
-    run_chaos_serve,
-)
 from .http import ReproServer, ServerThread, ShutdownLeak
 from .service import (
     COMMANDS,
@@ -38,12 +31,7 @@ from .service import (
 
 __all__ = [
     "COMMANDS",
-    "ChaosReport",
     "DeadlineExceeded",
-    "FAULT_MODES",
-    "FaultyBackend",
-    "format_chaos",
-    "run_chaos_serve",
     "ReproServer",
     "RequestError",
     "ServeCounters",

@@ -108,7 +108,7 @@ class ReproServer:
 
     async def drain(self) -> Dict[str, Any]:
         """Graceful shutdown: drain the service (stop admissions,
-        settle in-flight work, flush stores), then release
+        settle in-flight work), then release
         :meth:`serve_forever`.  The release is deferred one beat so the
         connection that requested the drain gets its response bytes
         before the accept loop unwinds."""

@@ -29,8 +29,8 @@ knows nothing about HTTP.  :class:`SimulationService` maps validated
   to completion and its windows still land in the result cache),
   admission control (a bounded concurrent-waiter queue and per-tenant
   quotas; overload is :class:`Shed` → HTTP 503 with ``Retry-After``),
-  and graceful drain (:meth:`SimulationService.drain` stops admission,
-  waits for in-flight work, then flushes the store tiers).
+  and graceful drain (:meth:`SimulationService.drain` stops admission
+  and waits for in-flight work).
 """
 
 from __future__ import annotations
@@ -480,15 +480,14 @@ class SimulationService:
     # -- graceful drain ---------------------------------------------------
 
     async def drain(self) -> Dict[str, Any]:
-        """Stop admissions, settle in-flight work, flush the stores.
+        """Stop admissions and settle in-flight work.
 
         New requests shed with HTTP 503 the moment this starts.
         In-flight computations get :attr:`drain_timeout` seconds to
-        finish; stragglers are cancelled.  Failed backend publishes are
-        then retried (:meth:`~repro.engine.core.ExperimentEngine.flush_stores`)
-        so this replica's computed windows reach the shared corpus
-        before the process exits.  Idempotent — repeat calls return the
-        first report.
+        finish; stragglers are cancelled.  Nothing needs flushing
+        afterwards: the result cache fsyncs each window's entry as it
+        is written.  Idempotent — repeat calls return the first
+        report.
         """
         if self._drain_report is not None:
             return self._drain_report
@@ -505,32 +504,19 @@ class SimulationService:
                 future.cancel()
             with contextlib.suppress(Exception):
                 await asyncio.gather(*not_done, return_exceptions=True)
-        loop = asyncio.get_event_loop()
-        flushed = await loop.run_in_executor(None, self._flush_sync)
         self._drain_report = {
             "drained": True,
             "inflight_completed": completed,
             "inflight_cancelled": cancelled,
-            "flushed": flushed,
         }
         return self._drain_report
-
-    def _flush_sync(self) -> Dict[str, Dict[str, int]]:
-        with self._engine_lock:
-            return self.engine.flush_stores()
 
     # -- telemetry ------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
         """The ``/statsz`` document: serve counters, admission-control
-        state, per-tenant fairness counters, breaker telemetry,
-        per-tier store telemetry, and the engine's run summary."""
-        from ..store import CircuitBreakerBackend
-
-        breaker = None
-        backend = self.engine.cache.backend
-        if isinstance(backend, CircuitBreakerBackend):
-            breaker = backend.breaker_stats()
+        state, per-tenant fairness counters, per-tier store
+        telemetry, and the engine's run summary."""
         return {
             "serve": dict(self.counters.as_dict(),
                           inflight=len(self._inflight),
@@ -546,7 +532,6 @@ class SimulationService:
             },
             "tenants": {name: counters.as_dict()
                         for name, counters in sorted(self._tenants.items())},
-            "breaker": breaker,
             "stores": {
                 "results": self.engine.cache.tier_counters(),
                 "traces": self.engine.trace_store.tier_counters(),

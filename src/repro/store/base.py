@@ -1,10 +1,10 @@
 """Shared store plumbing: the tier protocol, counters, atomic writes.
 
-Every tier of a :class:`~repro.store.tiered.TieredStore` — in-process
-memory, local disk, shared backend — exposes the same telemetry shape
+Both tiers of a :class:`~repro.store.tiered.TieredStore` — in-process
+memory and local disk — expose the same telemetry shape
 (:class:`TierCounters`) so ``repro cache stats`` and ``/statsz`` can
 render the whole stack uniformly.  The atomic-write helpers implement
-the one concurrency discipline every on-disk tier relies on: write to
+the one concurrency discipline the disk tier relies on: write to
 a same-directory temp file, optionally fsync, then ``os.replace`` —
 so two processes ``put()``-ing the same key both succeed and readers
 never observe a torn entry (last writer wins, byte-complete either
@@ -19,12 +19,7 @@ import os
 import pathlib
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
-
-try:  # pragma: no cover - import cosmetics
-    from typing import Protocol
-except ImportError:  # pragma: no cover - py<3.8 has no Protocol
-    Protocol = object  # type: ignore[assignment]
+from typing import Any, Callable, Dict, Protocol, Tuple
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """The local disk tier: the content-addressed on-disk layout.
 
-Middle of the three-tier stack.  The layout is exactly what
+Bottom of the two-tier stack.  The layout is exactly what
 ``engine/cache.py`` and ``engine/tracestore.py`` wrote before the
 store refactor — ``<root>/v<version>/<key[:2]>/<key><suffix>`` — so
 pre-refactor entries stay readable byte-for-byte and a version bump
@@ -40,12 +40,6 @@ class DiskTier:
 
     def path(self, key: str) -> pathlib.Path:
         return self.version_dir / key[:2] / f"{key}{self.suffix}"
-
-    def relative_name(self, key: str) -> str:
-        """The entry's path relative to the store root — the name a
-        shared :class:`~repro.store.backend.Backend` files it under,
-        so every replica's backend layout matches its local one."""
-        return f"v{self.version}/{key[:2]}/{key}{self.suffix}"
 
     def _version_dirs(self) -> Iterator[pathlib.Path]:
         if not self.root.is_dir():

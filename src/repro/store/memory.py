@@ -1,6 +1,6 @@
 """The in-process memory tier: an LRU bounded by entries *and* bytes.
 
-Top of the three-tier stack (``docs/engine.md``).  It holds decoded
+Top of the two-tier stack (``docs/engine.md``).  It holds decoded
 values — canonical payload bytes for the result cache, open
 :class:`~repro.sim.trace_io.RecordedTrace` handles for the trace store
 (subsuming the old hard-coded 4-entry handle LRU) — keyed by the same

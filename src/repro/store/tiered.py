@@ -1,11 +1,11 @@
-"""The three-tier store: memory LRU → local disk → shared backend.
+"""The two-tier store: memory LRU → local disk.
 
 One :class:`TieredStore` carries everything the result cache and the
 trace store used to implement twice: the read path with per-tier
 hit/miss accounting, verified decoding with the
 ``verify``/``repair``/``trust`` policy semantics, quarantine +
-repair-pending bookkeeping, atomic writes with backend publication,
-and the stats/scan/prune/clear maintenance surface.  The typed views
+repair-pending bookkeeping, atomic writes, and the
+stats/scan/prune/clear maintenance surface.  The typed views
 (:class:`~repro.engine.cache.ResultCache`,
 :class:`~repro.engine.tracestore.TraceStore`) map their domain keys
 and value types onto it via a small :class:`Codec`.
@@ -16,25 +16,12 @@ Read path (``get``):
    the way in);
 2. **disk** — decode + checksum per the policy; success promotes into
    memory.  A corrupt entry is quarantined (``verify`` additionally
-   raises :class:`IntegrityError`); under ``repair`` a quarantined key
-   then falls through to the backend — the shared corpus can heal a
-   replica's local bit rot without re-simulating;
-3. **backend** — fetch into the local disk path (atomic), then decode
-   exactly like a disk read.  A fetched-but-corrupt entry is
-   quarantined locally and reads as a miss.
+   raises :class:`IntegrityError`); under ``repair`` it reads as a
+   miss, so the caller recomputes it and the next ``put`` counts as a
+   repair.
 
-Write path (``put``): atomic durable local write, memory admission per
-the store's promotion policy, then a best-effort backend push —
-replicas publish what they compute, so N replicas sharing a backend
-converge on one content-addressed corpus.
-
-The backend tier is treated as hostile (``docs/serve.md``): a fetch or
-push that raises is contained here (counted as a miss / failed push),
-never propagated into the request that happened to touch the store,
-and keys whose publish failed are remembered so :meth:`TieredStore.flush`
-(run by graceful drain, see ``repro serve``) can retry them once the
-backend — typically behind a
-:class:`~repro.store.backend.CircuitBreakerBackend` — recovers.
+Write path (``put``): atomic durable local write, then memory
+admission per the store's promotion policy.
 """
 
 from __future__ import annotations
@@ -43,7 +30,6 @@ import contextlib
 import pathlib
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
-from .backend import Backend
 from .disk import DiskTier
 from .integrity import (
     IntegrityCounters,
@@ -64,7 +50,8 @@ class Codec:
 
     #: Human prefix of integrity messages ("result cache", "trace store").
     store_title = "store"
-    #: Namespace under a shared backend root ("results", "traces").
+    #: Short store name written into quarantine reason files
+    #: ("results", "traces").
     namespace = "store"
 
     def load(self, path: pathlib.Path, verify: bool) -> Tuple[Any, int]:
@@ -84,18 +71,16 @@ class Codec:
 
 
 class TieredStore:
-    """Memory → disk → backend composition with one policy."""
+    """Memory → disk composition with one policy."""
 
     def __init__(self, disk: DiskTier, codec: Codec,
                  memory: Optional[MemoryTier] = None,
-                 backend: Optional[Backend] = None,
                  policy: str = "repair",
                  promote_on_put: bool = False,
                  durable: bool = True) -> None:
         self.disk = disk
         self.codec = codec
         self.memory = memory if memory is not None else MemoryTier(0, 0)
-        self.backend = backend
         self.policy = check_policy(policy)
         #: Fill the memory tier on writes (trace store) or only on
         #: verified disk reads (result cache — a just-written entry is
@@ -108,59 +93,36 @@ class TieredStore:
         #: Keys whose entry was quarantined and awaits recomputation —
         #: the next successful ``put`` counts as a repair.
         self._repair_pending: Set[str] = set()
-        #: Keys written locally whose backend publish failed (flaky
-        #: backend, open breaker); :meth:`flush` retries them.
-        self._push_pending: Set[str] = set()
 
     # -- read path ------------------------------------------------------
 
     def get(self, key: str) -> Optional[Tuple[Any, str]]:
         """``(value, tier)`` for ``key``, or ``None`` on a miss.
 
-        ``tier`` names where the value was found: ``"memory"``,
-        ``"disk"`` or ``"backend"``.  Corruption follows the policy:
-        quarantine + raise under ``verify``, quarantine + miss (with a
-        backend-heal attempt) under ``repair``, unlink + miss under
-        ``trust`` (structural breakage only — checksums are skipped).
+        ``tier`` names where the value was found: ``"memory"`` or
+        ``"disk"``.  Corruption follows the policy: quarantine + raise
+        under ``verify``, quarantine + miss under ``repair``, unlink +
+        miss under ``trust`` (structural breakage only — checksums are
+        skipped).
         """
         stored = self.memory.get(key)
         if stored is not None:
             return self.codec.from_memory(stored), "memory"
-        value = self._read_disk(key, tier="disk")
+        value = self._read_disk(key)
         if value is not None:
             return value, "disk"
-        if self.backend is None:
-            return None
-        if not self._fetch(key):
-            return None
-        value = self._read_disk(key, tier="backend")
-        if value is not None:
-            return value, "backend"
         return None
 
-    def _fetch(self, key: str) -> bool:
-        """One contained backend fetch: an exception is a miss, never
-        the caller's problem."""
-        assert self.backend is not None
-        try:
-            return bool(self.backend.fetch(self.disk.relative_name(key),
-                                           self.disk.path(key)))
-        except Exception:
-            self.backend.counters.misses += 1
-            return False
-
-    def _read_disk(self, key: str, tier: str) -> Optional[Any]:
+    def _read_disk(self, key: str) -> Optional[Any]:
         """One verified decode of the local entry file; counts against
-        ``tier`` and promotes into memory on success."""
-        counters = (self.disk.counters if tier == "disk"
-                    else self.backend.counters)  # type: ignore[union-attr]
+        the disk tier and promotes into memory on success."""
+        counters = self.disk.counters
         path = self.disk.path(key)
         verify = self.policy != "trust"
         try:
             value, nbytes = self.codec.load(path, verify=verify)
         except FileNotFoundError:
-            if tier == "disk":
-                counters.misses += 1
+            counters.misses += 1
             return None
         except DECODE_ERRORS as exc:
             counters.misses += 1
@@ -174,20 +136,11 @@ class TieredStore:
                 raise IntegrityError(
                     f"{self.codec.store_title} entry {key[:12]} is corrupt "
                     f"(quarantined): {exc}") from exc
-            if tier == "disk" and self.backend is not None \
-                    and self._fetch(key):
-                # The shared corpus can heal local bit rot in place.
-                healed = self._read_disk(key, tier="backend")
-                if healed is not None:
-                    self._note_repaired(key)
-                    return healed
             return None
         if verify:
             self.integrity.verified += 1
-        if tier == "disk":
-            # Backend fetches already counted their hit and bytes.
-            counters.hits += 1
-            counters.bytes_read += nbytes
+        counters.hits += 1
+        counters.bytes_read += nbytes
         self._promote(key, value, nbytes)
         return value
 
@@ -205,7 +158,6 @@ class TieredStore:
         self._note_repaired(key)
         if self.promote_on_put and value is not None:
             self._promote(key, value, len(data))
-        self._push(key)
         return True
 
     def put_with(self, key: str, writer: Callable[[str], Any],
@@ -218,42 +170,7 @@ class TieredStore:
         self._note_repaired(key)
         if self.promote_on_put:
             self._promote(key, value, nbytes)
-        self._push(key)
         return value
-
-    def _push(self, key: str) -> None:
-        if self.backend is None:
-            return
-        try:
-            landed = self.backend.push(self.disk.relative_name(key),
-                                       self.disk.path(key))
-        except Exception:
-            landed = False
-        if landed:
-            self._push_pending.discard(key)
-        else:
-            self._push_pending.add(key)
-
-    def flush(self) -> Dict[str, int]:
-        """Retry every backend publish that previously failed.
-
-        Run by graceful drain: with the backend healthy again (breaker
-        closed), the replica's locally-computed entries still reach the
-        shared corpus before the process exits.  Returns how many were
-        pending and how many landed.
-        """
-        pending = sorted(self._push_pending)
-        published = 0
-        for key in pending:
-            if self.backend is None:
-                break
-            if not self.disk.path(key).exists():
-                self._push_pending.discard(key)
-                continue
-            self._push(key)
-            if key not in self._push_pending:
-                published += 1
-        return {"pending": len(pending), "published": published}
 
     def _note_repaired(self, key: str) -> None:
         if key in self._repair_pending:
@@ -285,8 +202,6 @@ class TieredStore:
         tiers: Dict[str, Any] = {
             "memory": self.memory.stats(),
             "disk": self.disk.counters.as_dict(),
-            "backend": (self.backend.stats()
-                        if self.backend is not None else None),
         }
         return {
             "root": str(self.disk.root),
@@ -296,7 +211,6 @@ class TieredStore:
             "policy": self.policy,
             "quarantined": len(quarantined_entries(self.disk.root)),
             "integrity": self.integrity.as_dict(),
-            "push_pending": len(self._push_pending),
             "tiers": tiers,
         }
 
@@ -305,10 +219,7 @@ class TieredStore:
         return {
             "memory": self.memory.stats(),
             "disk": self.disk.counters.as_dict(),
-            "backend": (self.backend.stats()
-                        if self.backend is not None else None),
             "integrity": self.integrity.as_dict(),
-            "push_pending": len(self._push_pending),
         }
 
     def scan(self, repair: bool = False) -> Dict[str, Any]:

@@ -155,27 +155,24 @@ class TestEngineConfig:
         monkeypatch.setenv("REPRO_FAST", "off")
         monkeypatch.setenv("REPRO_TRACE_PAGES", "0")
         monkeypatch.setenv("REPRO_TRACE_HANDLES", "9")
-        monkeypatch.setenv("REPRO_BREAKER", "0")
         engine = ExperimentEngine(config=EngineConfig(),
                                   cache=ResultCache(tmp_path / "cache"),
                                   trace_store=TraceStore(tmp_path / "traces"))
         assert engine.jobs == 1
         assert engine.config == EngineConfig()
         assert engine.config.fast == "vector"
-        assert engine.config.trace_pages and engine.config.breaker
+        assert engine.config.trace_pages
         assert engine.trace_store.handle_limit == 4
-        assert engine.cache.backend is None
         resolved = EngineConfig.from_env()
         assert (resolved.jobs, resolved.fast, resolved.trace_pages,
-                resolved.trace_handles, resolved.breaker) \
-            == (3, "off", False, 9, False)
+                resolved.trace_handles) \
+            == (3, "off", False, 9)
 
     def test_defaults_are_concrete(self):
         config = EngineConfig()
-        assert (config.fast, config.trace_pages, config.breaker,
-                config.integrity, config.store_backend,
+        assert (config.fast, config.trace_pages, config.integrity,
                 config.trace_handles) \
-            == ("vector", True, True, "repair", None, 4)
+            == ("vector", True, "repair", 4)
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_boolean_fast_rejected(self, fast):

@@ -26,7 +26,7 @@ from repro.stats import SamplingPlan
 def _engine(tmp_path):
     return ExperimentEngine(
         config=EngineConfig(jobs=1),
-        cache=ResultCache(tmp_path / "cache", backend=None))
+        cache=ResultCache(tmp_path / "cache"))
 
 
 class TestPopulation:

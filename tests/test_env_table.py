@@ -28,8 +28,5 @@ def test_every_env_name_is_documented():
     missing = {
         name: str(path) for name, path in _source_names().items()
         if name not in documented
-        # A ``REPRO_BREAKER_*``-style prefix is covered by its members.
-        and not (name.endswith("_")
-                 and any(d.startswith(name) for d in documented))
     }
     assert not missing, f"undocumented REPRO_* names: {missing}"

@@ -32,7 +32,7 @@ SCALE = 400  # characters: small enough for sub-second microbenchmarks
 def _engine(tmp_path):
     return ExperimentEngine(
         config=EngineConfig(jobs=1),
-        cache=ResultCache(tmp_path / "cache", backend=None))
+        cache=ResultCache(tmp_path / "cache"))
 
 
 @pytest.fixture()
@@ -212,7 +212,7 @@ class TestHttp:
             scale=SCALE,
             engine=ExperimentEngine(
                 config=EngineConfig(jobs=1),
-                cache=ResultCache(tmp_path / "local", backend=None)))
+                cache=ResultCache(tmp_path / "local")))
         assert json.dumps(body["data"], sort_keys=True) \
             == json.dumps(local.data, sort_keys=True)
         assert body["text"] == local.text
@@ -235,7 +235,7 @@ class TestHttp:
         stats = json.loads(_get(server, "/statsz").read())
         for store in ("results", "traces"):
             assert set(stats["stores"][store]) \
-                >= {"memory", "disk", "backend", "integrity"}
+                == {"memory", "disk", "integrity"}
         assert stats["engine"]["windows"] > 0
 
     def test_post_with_malformed_body_is_400(self, server):

@@ -1,14 +1,11 @@
-"""The unified three-tier store layer (``repro.store``).
+"""The unified two-tier store layer (``repro.store``).
 
-The tentpole contract: one :class:`~repro.store.tiered.TieredStore`
-(memory LRU → local disk → pluggable shared backend) under both typed
-views, with the pre-refactor on-disk layout preserved byte-for-byte.
-Covered here:
+The contract: one :class:`~repro.store.tiered.TieredStore` (memory LRU
+→ local disk) under both typed views, with the pre-refactor on-disk
+layout preserved byte-for-byte.  Covered here:
 
 * memory-tier LRU bounds (entries and bytes) and eviction accounting;
-* tier promotion/demotion — a memory-evicted entry refills from disk,
-  a local miss falls through to the shared backend, a corrupt local
-  entry self-heals from the backend under ``repair``;
+* tier promotion/demotion — a memory-evicted entry refills from disk;
 * concurrent-writer safety — many processes ``put()``-ing the same key
   all succeed with no torn entry and no leftover temp files;
 * the configurable trace-handle LRU (``REPRO_TRACE_HANDLES`` /
@@ -34,11 +31,7 @@ from repro.engine import (
 )
 from repro.engine.spec import WindowSpec
 from repro.experiments.fig13 import microbench_window_spec
-from repro.store import (
-    FilesystemBackend,
-    MemoryTier,
-    make_backend,
-)
+from repro.store import MemoryTier
 
 
 def _spec(n: int = 1) -> WindowSpec:
@@ -92,7 +85,7 @@ class TestMemoryTier:
 
 class TestTierPromotion:
     def test_disk_read_promotes_then_serves_from_memory(self, tmp_path):
-        cache = ResultCache(tmp_path, backend=None)
+        cache = ResultCache(tmp_path)
         spec = _spec()
         cache.put(spec, _payload())
         assert cache.get(spec) == _payload()   # disk (put doesn't promote)
@@ -105,7 +98,7 @@ class TestTierPromotion:
         assert counters["disk"]["hits"] == 1
 
     def test_memory_evicted_entry_refills_from_disk(self, tmp_path):
-        cache = ResultCache(tmp_path, memory_entries=1, backend=None)
+        cache = ResultCache(tmp_path, memory_entries=1)
         spec1, spec2 = _spec(1), _spec(2)
         cache.put(spec1, _payload(1))
         cache.put(spec2, _payload(2))
@@ -118,96 +111,13 @@ class TestTierPromotion:
     def test_memory_payloads_do_not_alias(self, tmp_path):
         """A reducer mutating a returned payload must not pollute the
         memory tier (it holds canonical bytes, not the object)."""
-        cache = ResultCache(tmp_path, backend=None)
+        cache = ResultCache(tmp_path)
         spec = _spec()
         cache.put(spec, _payload())
         first = cache.get(spec)
         first = cache.get(spec)  # memory-tier read
         first["cycles"] = -1
         assert cache.get(spec) == _payload()
-
-
-# ----------------------------------------------------------------------
-# Shared backend tier.
-
-
-class TestBackendTier:
-    def test_local_miss_falls_through_to_backend(self, tmp_path):
-        shared = tmp_path / "shared"
-        writer = ResultCache(tmp_path / "a", backend=f"fs:{shared}")
-        spec = _spec()
-        writer.put(spec, _payload())
-        # A second replica with an empty local store sees the entry.
-        reader = ResultCache(tmp_path / "b", backend=f"fs:{shared}")
-        assert reader.get(spec) == _payload()
-        counters = reader.tier_counters()
-        assert counters["backend"]["hits"] == 1
-        # The fetch landed locally: the next read is a disk/memory hit.
-        reader2 = ResultCache(tmp_path / "b", backend=None)
-        assert reader2.get(spec) == _payload()
-
-    def test_put_publishes_to_backend(self, tmp_path):
-        shared = tmp_path / "shared"
-        cache = ResultCache(tmp_path / "local", backend=f"fs:{shared}")
-        cache.put(_spec(), _payload())
-        published = list((shared / "results").rglob("*.json"))
-        assert len(published) == 1
-
-    def test_corrupt_local_entry_heals_from_backend(self, tmp_path):
-        shared = tmp_path / "shared"
-        cache = ResultCache(tmp_path / "local", policy="repair",
-                            backend=f"fs:{shared}")
-        spec = _spec()
-        cache.put(spec, _payload())
-        corrupt_file(cache._path(spec.cache_key), seed=1, kind="truncate")
-        assert cache.get(spec) == _payload()  # healed, not a miss
-        assert cache.integrity.quarantined == 1
-        assert cache.integrity.repaired == 1
-
-    def test_no_backend_means_miss(self, tmp_path):
-        cache = ResultCache(tmp_path, backend=None)
-        assert cache.get(_spec()) is None
-        assert cache.tier_counters()["backend"] is None
-
-    def test_backend_spec_parsing(self, tmp_path, monkeypatch):
-        backend = make_backend(f"fs:{tmp_path}", "results")
-        assert isinstance(backend, FilesystemBackend)
-        assert backend.root == tmp_path / "results"
-        # A bare path implies fs://.
-        bare = make_backend(str(tmp_path), "traces")
-        assert isinstance(bare, FilesystemBackend)
-        assert bare.root == tmp_path / "traces"
-        for disabled in ("", "0", "none", "off"):
-            assert make_backend(disabled, "results") is None
-        with pytest.raises(ValueError):
-            make_backend("s3:bucket", "results")
-        monkeypatch.setenv("REPRO_STORE_BACKEND", f"fs:{tmp_path}")
-        assert EngineConfig.from_env().store_backend == f"fs:{tmp_path}"
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "none")
-        assert EngineConfig.from_env().store_backend is None
-
-    def test_trace_store_shares_backend_root_under_namespace(self, tmp_path):
-        shared = tmp_path / "shared"
-        store = TraceStore(tmp_path / "a" / "traces",
-                           backend=f"fs:{shared}")
-        spec = microbench_window_spec(300, "full-dup", seed=1, kind="brr",
-                                      interval=64, lfsr_seed=64)
-        engine = ExperimentEngine(
-            config=EngineConfig(jobs=1),
-            cache=ResultCache(tmp_path / "a", backend=None),
-            trace_store=store)
-        engine.run([spec])
-        assert list((shared / "traces").rglob("*.trace"))
-        # A second replica replays the shared trace instead of
-        # re-executing the functional stream.
-        replica = TraceStore(tmp_path / "b" / "traces",
-                             backend=f"fs:{shared}")
-        engine2 = ExperimentEngine(
-            config=EngineConfig(jobs=1),
-            cache=ResultCache(tmp_path / "b", backend=None),
-            trace_store=replica)
-        engine2.run([spec])
-        assert replica.tier_counters()["backend"]["hits"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +128,7 @@ def _concurrent_put(args):
     root, n = args
     from repro.engine import ResultCache
 
-    cache = ResultCache(pathlib.Path(root), backend=None)
+    cache = ResultCache(pathlib.Path(root))
     spec = microbench_window_spec(100, "none", seed=1)
     return cache.put(spec, {"cycles": 1001, "instructions": 101})
 
@@ -231,7 +141,7 @@ class TestConcurrentWriters:
             landed = pool.map(_concurrent_put,
                               [(str(tmp_path), n) for n in range(workers)])
         assert all(landed)
-        cache = ResultCache(tmp_path, policy="verify", backend=None)
+        cache = ResultCache(tmp_path, policy="verify")
         spec = microbench_window_spec(100, "none", seed=1)
         # verify policy: a torn entry would quarantine + raise.
         assert cache.get(spec) == {"cycles": 1001, "instructions": 101}
@@ -273,7 +183,7 @@ class TestTraceHandles:
     def test_engine_threads_handles_through(self, tmp_path):
         config = EngineConfig(jobs=1, trace_handles=7)
         engine = ExperimentEngine(
-            config=config, cache=ResultCache(tmp_path, backend=None))
+            config=config, cache=ResultCache(tmp_path))
         assert engine.trace_store.handle_limit == 7
 
     @pytest.mark.parametrize("handles", [1, 2, 8])
@@ -281,8 +191,7 @@ class TestTraceHandles:
             self, tmp_path, handles):
         """Regression: eviction pressure must not let a quarantined
         trace keep being served from a stale open handle."""
-        store = TraceStore(tmp_path / "traces", handles=handles,
-                           backend=None)
+        store = TraceStore(tmp_path / "traces", handles=handles)
         specs = [
             microbench_window_spec(300, "full-dup", seed=s, kind="brr",
                                    interval=64, lfsr_seed=64)
@@ -290,7 +199,7 @@ class TestTraceHandles:
         ]
         engine = ExperimentEngine(
             config=EngineConfig(jobs=1),
-            cache=ResultCache(tmp_path / "cache", backend=None),
+            cache=ResultCache(tmp_path / "cache"),
             trace_store=store)
         engine.run(specs)
         keys = [p.stem for p in
@@ -361,7 +270,7 @@ class TestCacheStoreSelector:
         stats = self._stats(cache_dir, capsys)
         for store in ("results", "traces"):
             tiers = stats[store]["tiers"]
-            assert set(tiers) == {"memory", "disk", "backend"}
+            assert set(tiers) == {"memory", "disk"}
             assert "hits" in tiers["disk"]
 
 
@@ -395,19 +304,20 @@ class TestStoreEnvParsing:
         with pytest.raises(ValueError, match=f"{name}={raw!r}"):
             ExperimentEngine(config=EngineConfig())
 
-    @pytest.mark.parametrize("name,raw", [
-        ("REPRO_BREAKER_FAILURES", "five"),
-        ("REPRO_BREAKER_RESET", "soon"),
-        ("REPRO_BREAKER_TIMEOUT", "5s"),
-        ("REPRO_BREAKER_RETRIES", "1.5"),
-        ("REPRO_BREAKER_BACKOFF", "x"),
+    @pytest.mark.parametrize("raw,rejected", [
+        ("fs:/srv/shared", True), ("/srv/shared", True),
+        ("none", False), ("0", False),
     ])
-    def test_breaker_garbage_rejected(self, monkeypatch, tmp_path, name,
-                                      raw):
-        monkeypatch.setenv(name, raw)
-        with pytest.raises(ValueError, match=f"{name}={raw!r}"):
-            ResultCache(root=tmp_path / "cache",
-                        backend=f"fs://{tmp_path / 'shared'}")
+    def test_retired_store_backend(self, monkeypatch, raw, rejected):
+        """The shared store backend is gone; a value that would have
+        enabled it is refused rather than silently ignored."""
+        monkeypatch.setenv("REPRO_STORE_BACKEND", raw)
+        if rejected:
+            with pytest.raises(ValueError,
+                               match="REPRO_STORE_BACKEND=.*removed"):
+                EngineConfig.from_env()
+        else:
+            assert isinstance(EngineConfig.from_env(), EngineConfig)
 
     def test_memory_bounds_read(self, monkeypatch):
         from repro.store import memory_bytes_from_env, memory_entries_from_env
@@ -422,6 +332,7 @@ class TestStoreEnvParsing:
         ("REPRO_TRACE", "enabled"),
         ("REPRO_MEM_ENTRIES", "lots"),
         ("REPRO_MEM_BYTES", "1e6"),
+        ("REPRO_STORE_BACKEND", "fs:/srv/shared"),
     ])
     def test_cli_usage_error(self, monkeypatch, capsys, tmp_path, name, raw):
         monkeypatch.setenv(name, raw)
