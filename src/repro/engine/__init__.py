@@ -60,8 +60,8 @@ from .integrity import (
 )
 from .spec import SCHEMA_VERSION, WindowSpec
 from .tracestore import (
-    DEFAULT_TRACE_HANDLES,
     TIMING_ONLY_PARAMS,
+    TRACE_HANDLE_LIMIT,
     TRACE_STORE_VERSION,
     TraceStore,
     active_store,
@@ -109,8 +109,8 @@ __all__ = [
     "run_population",
     "run_windows",
     "set_engine",
-    "DEFAULT_TRACE_HANDLES",
     "TIMING_ONLY_PARAMS",
+    "TRACE_HANDLE_LIMIT",
     "TRACE_STORE_VERSION",
     "TraceStore",
     "active_store",

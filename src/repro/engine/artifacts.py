@@ -137,6 +137,7 @@ class RunRecorder:
         self.meta: Optional[Dict[str, Any]] = None
         self._started = time.time()
         self._windows = self._retries = self._wall_s = 0
+        self._group_fallbacks = 0
         self._cycles = self._instructions = self._functional_steps = 0
         self._workers: Set[int] = set()
         self._tallies: Dict[str, Counter] = {name: Counter()
@@ -172,6 +173,11 @@ class RunRecorder:
         if self.log_path is not None:
             self._append_line(record.to_dict())
 
+    def record_group_fallback(self) -> None:
+        """Count one batched group replay that raised and was re-run
+        one window at a time."""
+        self._group_fallbacks += 1
+
     def write_validation(self, detail: Dict[str, Any]) -> None:
         """Log one typed fast-path divergence record (the watchdog's
         out-of-band evidence line)."""
@@ -195,6 +201,7 @@ class RunRecorder:
             "cache_misses": self._windows - cache["hit"] - cache["failed"],
             "failures": cache["failed"],
             "retries": self._retries,
+            "group_fallbacks": self._group_fallbacks,
             "window_wall_s": round(self._wall_s, 4),
             "elapsed_s": round(time.time() - self._started, 4),
             "simulated_cycles": self._cycles,

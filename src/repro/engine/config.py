@@ -23,11 +23,10 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from ..store.base import parse_flag, parse_float, parse_int
+from ..store.base import parse_float, parse_int
 from ..store.integrity import INTEGRITY_POLICIES
 from ..timing.fastpath import FAST_MODES
 from .integrity import VALIDATE_POLICIES
-from .tracestore import DEFAULT_TRACE_HANDLES
 
 #: Allowed values of :attr:`EngineConfig.failure_policy`.
 FAILURE_POLICIES = ("raise", "retry", "skip")
@@ -57,7 +56,6 @@ def _positive_or_none(parse: Callable[[str, str], Any]):
 _ENV_FIELDS: Tuple[Tuple[str, str, Callable[[str, str], Any]], ...] = (
     ("jobs", "REPRO_JOBS", lambda n, r: max(1, parse_int(n, r))),
     ("fast", "REPRO_FAST", _choice(FAST_MODES)),
-    ("trace_pages", "REPRO_TRACE_PAGES", parse_flag),
     ("timeout", "REPRO_TIMEOUT", _positive_or_none(parse_float)),
     ("retries", "REPRO_RETRIES", lambda n, r: max(0, parse_int(n, r))),
     ("backoff", "REPRO_BACKOFF", lambda n, r: max(0.0, parse_float(n, r))),
@@ -68,8 +66,6 @@ _ENV_FIELDS: Tuple[Tuple[str, str, Callable[[str, str], Any]], ...] = (
     ("validate_every", "REPRO_VALIDATE", _positive_or_none(parse_int)),
     ("validate_policy", "REPRO_VALIDATE_POLICY",
      _choice(VALIDATE_POLICIES)),
-    ("trace_handles", "REPRO_TRACE_HANDLES",
-     lambda n, r: max(1, parse_int(n, r))),
     ("seed", "REPRO_SEED", parse_int),
 )
 
@@ -116,17 +112,11 @@ class EngineConfig:
     #: What a watchdog divergence becomes: ``warn`` (keep fast stats,
     #: log), ``fallback`` (return golden stats), ``raise`` (abort).
     validate_policy: str = "fallback"
-    #: Bound of the trace store's open-handle LRU.
-    trace_handles: int = DEFAULT_TRACE_HANDLES
     #: Uniform experiment seed (``--seed`` / ``REPRO_SEED``): the
     #: default workload seed for seeded figures *and* the default
     #: :class:`~repro.stats.plan.SamplingPlan` selection seed.  ``None``
     #: keeps each experiment's historical per-figure default.
     seed: Optional[int] = None
-    #: Publish decoded trace columns as ``multiprocessing``
-    #: shared-memory pages for pool workers (zero-copy attach instead
-    #: of a per-worker decode).  Serial runs ignore it.
-    trace_pages: bool = True
 
     def __post_init__(self) -> None:
         if self.fast not in FAST_MODES:
@@ -156,9 +146,6 @@ class EngineConfig:
             raise ValueError(
                 f"validate_policy must be one of {VALIDATE_POLICIES}, "
                 f"got {self.validate_policy!r}")
-        if self.trace_handles < 1:
-            raise ValueError(
-                f"trace_handles must be >= 1, got {self.trace_handles}")
 
     # ------------------------------------------------------------------
 

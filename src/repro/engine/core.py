@@ -56,7 +56,6 @@ from typing import (
 )
 
 from ..timing.fastpath import fastpath_override
-from . import shm_pages
 from .artifacts import RunRecorder, WindowRecord, completed_keys, read_run_log
 from .cache import ResultCache, cache_enabled_by_env
 from .config import EngineConfig
@@ -227,8 +226,6 @@ class _WorkerRun:
     config: Dict[str, Any]
     trace_root: str
     trace_enabled: bool
-    #: ``{functional key: shared-memory segment name}`` or ``None``.
-    pages: Optional[Dict[str, str]]
 
 
 def _pool_execute(item: Tuple[int, Dict[str, Any], _WorkerRun, int]):
@@ -239,8 +236,7 @@ def _pool_execute(item: Tuple[int, Dict[str, Any], _WorkerRun, int]):
     started = time.perf_counter()
     maybe_inject(spec.cache_key, attempt, cfg.fault_rate, in_worker=True)
     store = TraceStore(run.trace_root, enabled=run.trace_enabled,
-                       policy=cfg.integrity, handles=cfg.trace_handles,
-                       pages=run.pages)
+                       policy=cfg.integrity)
     validation = ValidationSettings(every=cfg.validate_every,
                                     policy=cfg.validate_policy)
     with fastpath_override(cfg.fast), active_store(store), \
@@ -284,16 +280,13 @@ class ExperimentEngine:
         if trace_store is None:
             trace_store = TraceStore(default_trace_dir(cache.root),
                                      enabled=trace_enabled_by_env(),
-                                     policy=config.integrity,
-                                     handles=config.trace_handles)
+                                     policy=config.integrity)
         self.trace_store = trace_store
         #: Watchdog settings installed around execution (serial) or
         #: shipped to each pool worker.
         self._validation = ValidationSettings(every=config.validate_every,
                                               policy=config.validate_policy)
         self.recorder = recorder or RunRecorder()
-        self._trace_pages = (config.trace_pages
-                             and shm_pages.pages_supported())
         self._executor_factory = executor_factory
         #: Keys completed by the run being resumed (empty otherwise).
         self.resume_keys: FrozenSet[str] = self._load_resume_keys()
@@ -444,7 +437,8 @@ class ExperimentEngine:
     # timing config are scheduled as one batched replay (see
     # :func:`repro.engine.windows.run_window_group`); a batch failure
     # of any kind falls back to the per-window path, which owns
-    # retries and the failure policy.
+    # retries and the failure policy, and is counted in the run
+    # summary's ``group_fallbacks``.
 
     def _serial_schedule(self, specs: Sequence[WindowSpec],
                          misses: List[int]) -> List[List[int]]:
@@ -483,6 +477,7 @@ class ExperimentEngine:
                 kind, [specs[index].params_dict() for index in members])
         except Exception:
             consume_trace_info()  # drop partial telemetry
+            self.recorder.record_group_fallback()
             return False  # per-window path re-runs with full retry policy
         if batch is None:
             return False
@@ -540,49 +535,12 @@ class ExperimentEngine:
     # completed window is cached immediately, so an interrupt at any
     # point loses at most the windows still in flight.
 
-    def _publish_pages(self, specs: Sequence[WindowSpec],
-                       indices: Sequence[int]):
-        """Publish shared-memory pages for every already-recorded
-        functional trace the given windows will replay; ``None`` when
-        pages are disabled or unsupported."""
-        from .windows import GROUP_REGISTRY
-
-        if not (self._trace_pages and self.trace_store.enabled):
-            return None
-        registry = shm_pages.TracePageRegistry()
-        seen = set()
-        for index in indices:
-            spec = specs[index]
-            if spec.kind not in GROUP_REGISTRY:
-                continue
-            key = functional_key(spec.kind, spec.params_dict())
-            if key in seen:
-                continue
-            seen.add(key)
-            trace = self.trace_store.load(key)
-            if trace is None:
-                continue  # first run records in a worker; next run pages
-            try:
-                registry.publish(key, trace)
-            except Exception:
-                pass  # pages are an amortisation, never a dependency
-        return registry
-
     def _run_pool(self, specs: Sequence[WindowSpec], misses: List[int],
                   results: List[Optional[Dict[str, Any]]]) -> None:
         cfg = self.config
-        pages = self._publish_pages(specs, misses)
-
-        config = cfg.to_dict()
-
-        def make_run() -> _WorkerRun:
-            return _WorkerRun(config=config,
-                              trace_root=str(self.trace_store.root),
-                              trace_enabled=self.trace_store.enabled,
-                              pages=(pages.names() if pages is not None
-                                     else None))
-
-        worker_run = make_run()
+        worker_run = _WorkerRun(config=cfg.to_dict(),
+                                trace_root=str(self.trace_store.root),
+                                trace_enabled=self.trace_store.enabled)
         workers = min(self.jobs, len(misses))
         queue = deque((index, 0) for index in misses)
         inflight: Dict[Any, Tuple[int, int, Optional[float]]] = {}
@@ -655,21 +613,10 @@ class ExperimentEngine:
                         queue.append((index, attempt))
                     inflight.clear()
                     self._teardown_pool(pool)
-                    # The dead generation's workers may have held page
-                    # attachments; its segments are unlinked here and a
-                    # fresh set published for the rebuilt pool, so a
-                    # crash can never leak shared memory.
-                    if pages is not None:
-                        pages.unlink_all()
-                        pages = self._publish_pages(
-                            specs, [index for index, _ in queue])
-                        worker_run = make_run()
                     if queue:
                         pool = self._new_pool(min(workers, len(queue)))
         finally:
             self._teardown_pool(pool)
-            if pages is not None:
-                pages.unlink_all()
 
     def _new_pool(self, workers: int):
         if self._executor_factory is not None:

@@ -20,9 +20,8 @@ share one store.  The memory tier holds open
 :class:`~repro.sim.trace_io.RecordedTrace` handles — a config sweep
 replays the same key once per configuration, and sharing the handle
 amortises the one-time columnar decode across all of them.  The handle
-LRU is bounded by ``handles`` (default :data:`DEFAULT_TRACE_HANDLES`;
-the engine passes
-:attr:`~repro.engine.config.EngineConfig.trace_handles`).
+LRU holds :data:`TRACE_HANDLE_LIMIT` traces.  Pool workers open
+the same store from its root and read through the same tiers.
 
 Every trace carries per-section CRC32s (``docs/integrity.md``); what a
 failed verification becomes is the store's ``policy`` — ``verify``
@@ -59,12 +58,10 @@ TRACE_STORE_VERSION = 2
 #: functional projection.
 TIMING_ONLY_PARAMS = frozenset({"config"})
 
-#: Default bound of the open-handle LRU (the store's memory tier).
-#: Traces hold their encoded bytes plus decoded columns in memory, so
-#: the default stays small; raise it via ``REPRO_TRACE_HANDLES`` or
-#: :attr:`~repro.engine.config.EngineConfig.trace_handles` when a
-#: sweep cycles through more distinct windows than this.
-DEFAULT_TRACE_HANDLES = 4
+#: Bound of the open-handle LRU (the store's memory tier).  Traces
+#: hold their encoded bytes plus decoded columns in memory, so the
+#: bound stays small.
+TRACE_HANDLE_LIMIT = 4
 
 
 def trace_enabled_by_env() -> bool:
@@ -121,21 +118,14 @@ class TraceStore:
 
     def __init__(self, root: Optional[pathlib.Path] = None,
                  enabled: bool = True,
-                 policy: str = "repair",
-                 handles: int = DEFAULT_TRACE_HANDLES,
-                 pages: Optional[Dict[str, str]] = None) -> None:
+                 policy: str = "repair") -> None:
         self.root = pathlib.Path(root) if root else default_trace_dir()
         self.enabled = enabled
-        #: ``{functional key: shared-memory segment name}`` published
-        #: by the parent engine (:mod:`repro.engine.shm_pages`); a hit
-        #: attaches the parent's decoded columns zero-copy instead of
-        #: re-reading and re-decoding the trace file.
-        self._pages: Dict[str, str] = dict(pages or {})
-        self._attached: Dict[str, Any] = {}
         self._tiers = TieredStore(
             disk=DiskTier(self.root, TRACE_STORE_VERSION, ".trace"),
             codec=_TraceCodec(),
-            memory=MemoryTier(max_entries=max(1, handles), max_bytes=None),
+            memory=MemoryTier(max_entries=TRACE_HANDLE_LIMIT,
+                              max_bytes=None),
             policy=policy,
             # record() keeps the fresh handle hot: the recording config
             # immediately replays it, then every sibling config does.
@@ -154,11 +144,6 @@ class TraceStore:
     def integrity(self):
         return self._tiers.integrity
 
-    @property
-    def handle_limit(self) -> Optional[int]:
-        """Bound of the open-handle LRU (the memory tier)."""
-        return self._tiers.memory.max_entries
-
     def _path(self, key: str) -> pathlib.Path:
         return self._tiers.disk.path(key)
 
@@ -168,10 +153,6 @@ class TraceStore:
         replaced out-of-band, or the LRU would keep serving the stale
         decoded trace."""
         self._tiers.invalidate(key)
-        attached = self._attached.pop(key, None)
-        if attached is not None:
-            attached.close()
-        self._pages.pop(key, None)
 
     def load(self, key: str) -> Optional[RecordedTrace]:
         """The recorded trace for ``key``, or ``None`` on a miss.
@@ -185,34 +166,12 @@ class TraceStore:
         """
         if not self.enabled:
             return None
-        shared = self._attach_page(key)
-        if shared is not None:
-            self.hits += 1
-            return shared
         found = self._tiers.get(key)
         if found is None:
             self.misses += 1
             return None
         self.hits += 1
         return found[0]
-
-    def _attach_page(self, key: str):
-        """Attach the published shared-memory page for ``key``, if
-        any; failures degrade silently to the tier stack."""
-        if key in self._attached:
-            return self._attached[key]
-        name = self._pages.get(key)
-        if name is None:
-            return None
-        from .shm_pages import attach
-
-        shared = attach(name)
-        if shared is None:
-            # Unlinked or unreadable: never retry this generation.
-            self._pages.pop(key, None)
-            return None
-        self._attached[key] = shared
-        return shared
 
     def record(self, key: str, recorder) -> RecordedTrace:
         """Record a trace into the store (atomic, last-writer-wins).

@@ -89,6 +89,8 @@ class ReproServer:
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._drained: Optional[asyncio.Event] = None
+        #: Open connections: each handler task and its writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -108,52 +110,69 @@ class ReproServer:
 
     async def drain(self) -> Dict[str, Any]:
         """Graceful shutdown: drain the service (stop admissions,
-        settle in-flight work), then release
-        :meth:`serve_forever`.  The release is deferred one beat so the
-        connection that requested the drain gets its response bytes
-        before the accept loop unwinds."""
+        settle in-flight work), then release :meth:`serve_forever`,
+        which lets every open connection (this one included) finish
+        before it returns."""
         report = await self.service.drain()
-        if self._drained is not None and not self._drained.is_set():
-            loop = asyncio.get_event_loop()
-            loop.call_later(0.1, self._drained.set)
+        if self._drained is not None:
+            self._drained.set()
         return report
 
     async def serve_forever(self) -> None:
-        """Accept until cancelled or drained (then return cleanly)."""
+        """Accept until drained, then close the listening socket and
+        let open connections finish; a cancel returns at once."""
         if self._server is None:
             await self.start()
         assert self._server is not None and self._drained is not None
-        serving = asyncio.ensure_future(self._server.serve_forever())
-        drained = asyncio.ensure_future(self._drained.wait())
         try:
-            await asyncio.wait({serving, drained},
-                               return_when=asyncio.FIRST_COMPLETED)
+            await self._drained.wait()
         except asyncio.CancelledError:
-            pass
-        finally:
-            for task in (serving, drained):
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError, Exception):
-                    await task
+            return
+        self._server.close()
+        await self._finish_connections()
+
+    async def _finish_connections(self) -> None:
+        """Wait for the open connections' handlers, bounded by the
+        service's drain timeout.  A figure request read now answers
+        503 with ``Retry-After`` (the service is draining).  Connections
+        still open at the bound are aborted, which ends their handlers
+        without cancelling them mid-read."""
+        loop = asyncio.get_running_loop()
+        timeout = self.service.drain_timeout
+        deadline = None if timeout is None else loop.time() + timeout
+        while self._connections:
+            remaining = None if deadline is None else deadline - loop.time()
+            if remaining is not None and remaining <= 0:
+                break
+            await asyncio.wait(list(self._connections), timeout=remaining)
+        for writer in list(self._connections.values()):
+            writer.transport.abort()
+        if self._connections:
+            await asyncio.wait(list(self._connections))
 
     # -- request handling ----------------------------------------------
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
-            payload = await self._respond(reader)
-        except Exception as exc:  # the handler must never kill the loop
-            payload = _response(500, _encode_body(
-                {"error": f"internal error: {exc!r}"}))
-        try:
-            writer.write(payload)
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
+            try:
+                payload = await self._respond(reader)
+            except Exception as exc:  # the handler must never kill the loop
+                payload = _response(500, _encode_body(
+                    {"error": f"internal error: {exc!r}"}))
+            try:
+                writer.write(payload)
+                await writer.drain()
+            except (ConnectionError, OSError):
+                pass
+            finally:
+                with contextlib.suppress(Exception):
+                    writer.close()
+                    await writer.wait_closed()
         finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
+            del self._connections[task]
 
     async def _read_request(
             self, reader: asyncio.StreamReader

@@ -427,8 +427,8 @@ class SimulationService:
         """Validate, admit, coalesce and execute one request.
 
         Raises :class:`RequestError` on validation failure,
-        :class:`Shed` when admission control refuses the request,
-        :class:`DeadlineExceeded` when the per-request deadline fires
+        :class:`Shed` when admission control refuses the request or a
+        drain cancels its computation, :class:`DeadlineExceeded` when the per-request deadline fires
         first; any other exception is whatever the underlying
         computation raised (every coalesced waiter observes the same
         one).
@@ -471,6 +471,13 @@ class SimulationService:
                 raise DeadlineExceeded(
                     f"deadline of {deadline}s exceeded; the computation "
                     f"continues and will be served from cache") from None
+            except asyncio.CancelledError:
+                if not future.cancelled():
+                    raise  # this waiter was cancelled, not the computation
+                # The drain cancelled the shared computation: answer
+                # like any other request the drain turns away.
+                raise Shed("service drained before the computation "
+                           "finished", retry_after=5.0) from None
             return (dataclasses.replace(result, coalesced=True)
                     if coalesced else result)
         finally:

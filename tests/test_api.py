@@ -70,7 +70,9 @@ class TestFacadeResults:
         ambient = get_engine()
         engine = ExperimentEngine(cache=ResultCache(tmp_path / "cache"))
         result = api.run_figure9(scale=0.002, engine=engine)
-        assert engine.summary()["windows"] > 0
+        summary = engine.summary()
+        assert summary["windows"] > 0
+        assert summary["group_fallbacks"] == 0
         assert get_engine() is ambient
         assert result.data[-1]["benchmark"] == "average"
 
@@ -153,26 +155,18 @@ class TestEngineConfig:
 
         monkeypatch.setenv("REPRO_JOBS", "3")
         monkeypatch.setenv("REPRO_FAST", "off")
-        monkeypatch.setenv("REPRO_TRACE_PAGES", "0")
-        monkeypatch.setenv("REPRO_TRACE_HANDLES", "9")
         engine = ExperimentEngine(config=EngineConfig(),
                                   cache=ResultCache(tmp_path / "cache"),
                                   trace_store=TraceStore(tmp_path / "traces"))
         assert engine.jobs == 1
         assert engine.config == EngineConfig()
         assert engine.config.fast == "vector"
-        assert engine.config.trace_pages
-        assert engine.trace_store.handle_limit == 4
         resolved = EngineConfig.from_env()
-        assert (resolved.jobs, resolved.fast, resolved.trace_pages,
-                resolved.trace_handles) \
-            == (3, "off", False, 9)
+        assert (resolved.jobs, resolved.fast) == (3, "off")
 
     def test_defaults_are_concrete(self):
         config = EngineConfig()
-        assert (config.fast, config.trace_pages, config.integrity,
-                config.trace_handles) \
-            == ("vector", True, "repair", 4)
+        assert (config.fast, config.integrity) == ("vector", "repair")
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_boolean_fast_rejected(self, fast):

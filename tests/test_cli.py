@@ -87,7 +87,7 @@ class TestJsonMode:
         document = json.loads(capsys.readouterr().out)
         assert document["command"] == "cost"
         assert any(row["decode_width"] == 4 for row in document["data"])
-        assert {"windows", "cache_hits", "cache_misses",
+        assert {"windows", "cache_hits", "cache_misses", "group_fallbacks",
                 "jobs"} <= set(document["engine"])
 
     def test_figure9_json_reports_windows(self, capsys, tmp_path):

@@ -231,6 +231,41 @@ class TestEngineExecution:
         assert engine.jobs == 3
         assert engine.config.fast == "off"
 
+    def test_group_fallback_is_counted_and_identical(self, tmp_path,
+                                                     monkeypatch):
+        """A batched group replay that raises is re-run one window at a
+        time: the payloads stay byte-identical, and the fallback shows
+        in the summary instead of vanishing."""
+        from repro.engine import windows
+        from repro.experiments import microbench_window_spec
+
+        specs = [
+            microbench_window_spec(400, "full-dup", seed=3, kind="brr",
+                                   interval=64, lfsr_seed=64,
+                                   config=TimingConfig(**overrides))
+            for overrides in ({}, {"ras_entries": 4}, {"btb_entries": 256})
+        ]
+        assert len({spec.cache_key for spec in specs}) == len(specs)
+        grouped = ExperimentEngine(config=EngineConfig(jobs=1),
+                                   cache=ResultCache(tmp_path / "grouped"))
+        expected = [json.dumps(p, sort_keys=True)
+                    for p in grouped.run(specs)]
+        assert grouped.summary()["group_fallbacks"] == 0
+
+        def broken_group(params_list):
+            raise RuntimeError("injected group failure")
+
+        monkeypatch.setitem(windows.GROUP_REGISTRY, "microbench",
+                            broken_group)
+        fallback = ExperimentEngine(config=EngineConfig(jobs=1),
+                                    cache=ResultCache(tmp_path / "solo"))
+        payloads = fallback.run(specs)
+        assert [json.dumps(p, sort_keys=True) for p in payloads] == expected
+        summary = fallback.summary()
+        assert summary["group_fallbacks"] == 1
+        assert summary["cache_misses"] == len(specs)
+        assert summary["failures"] == 0
+
 
 class TestRunArtifacts:
     def test_jsonl_records(self, tmp_path):
@@ -281,6 +316,7 @@ def _list_summary(records, plans):
         "cache_misses": len(records) - hits - failures,
         "failures": failures,
         "retries": sum(max(0, (r.attempts or 1) - 1) for r in records),
+        "group_fallbacks": 0,
         "window_wall_s": round(sum(r.wall_s for r in records), 4),
         "simulated_cycles": sum(r.cycles or 0 for r in records),
         "simulated_instructions": sum(r.instructions or 0 for r in records),

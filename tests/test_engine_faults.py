@@ -250,10 +250,10 @@ class TestResumeFromRunLog:
         assert meta is None and records == []
 
 
-class TestTracePages:
-    """Shared-memory trace pages: the parent registry is the single
-    unlink authority, so neither a clean pool shutdown nor a
-    fault-forced pool rebuild may leak ``/dev/shm`` segments."""
+class TestPoolReplayFromStore:
+    """Pool workers replay traces already in the store by reading them
+    from disk, exactly as a serial run does; a fault-forced pool
+    rebuild re-reads them the same way."""
 
     def _timing_specs(self):
         from repro.experiments import microbench_window_spec
@@ -266,48 +266,13 @@ class TestTracePages:
         ]
 
     def _warm_store(self, tmp_path, specs):
-        """Record the traces serially so the pooled run can page them."""
+        """Record the traces serially so the pooled run replays them."""
         store = TraceStore(tmp_path / "traces", enabled=True)
         warm = ExperimentEngine(cache=ResultCache(tmp_path / "warm"),
                                 trace_store=store)
         return store, warm.run(specs)
 
-    def test_shared_trace_equivalent_then_unlinked(self):
-        from repro.engine import shm_pages
-        from repro.engine.windows import MATERIALS
-        from repro.timing.runner import record_window
-
-        spec = self._timing_specs()[0]
-        materials = MATERIALS[spec.kind](spec.params_dict())
-        trace = record_window(materials["program"], materials["end"],
-                              brr_unit=materials["brr_unit"],
-                              setup=materials["setup"])
-        registry = shm_pages.TracePageRegistry()
-        name = registry.publish("key", trace)
-        if name is None:
-            pytest.skip("shared memory unavailable on this platform")
-        shared = shm_pages.attach(name)
-        assert shared is not None
-        assert len(shared) == len(trace)
-        assert shared.markers == trace.markers
-        assert shared.nbytes == trace.nbytes
-        ref, cols = trace.columns(), shared.columns()
-        assert list(cols.pc) == list(ref.pc)
-        assert list(cols.word_id) == list(ref.word_id)
-        assert list(cols.next_pc) == list(ref.next_pc)
-        assert bytes(cols.taken) == bytes(ref.taken)
-        assert list(cols.mem_addr) == list(ref.mem_addr)
-        assert cols.instrs == ref.instrs
-        assert list(shared.records()) == list(trace.records())
-        shared.close()
-        assert registry.unlink_all() == 1
-        assert shm_pages.attach(name) is None  # gone for good
-        assert registry.unlink_all() == 0      # and idempotent
-
-    def test_pooled_run_with_pages_leaves_no_segments(self, tmp_path):
-        from repro.engine import shm_pages
-
-        before = set(shm_pages.leaked_pages())
+    def test_pooled_run_over_warm_store_equals_serial(self, tmp_path):
         specs = self._timing_specs()
         store, serial_payloads = self._warm_store(tmp_path, specs)
         pooled = ExperimentEngine(
@@ -315,13 +280,11 @@ class TestTracePages:
             cache=ResultCache(tmp_path / "pooled"),
             trace_store=store)
         assert _canonical(pooled.run(specs)) == _canonical(serial_payloads)
-        assert set(shm_pages.leaked_pages()) <= before
+        assert pooled.summary()["trace_hits"] == len(specs)
 
-    def test_pool_rebuild_does_not_leak_pages(self, tmp_path, monkeypatch):
-        from repro.engine import shm_pages
-
+    def test_pool_rebuild_over_warm_store_equals_serial(self, tmp_path,
+                                                        monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_MODE", "kill")
-        before = set(shm_pages.leaked_pages())
         specs = self._timing_specs()
         store, clean_payloads = self._warm_store(tmp_path, specs)
         faulty = ExperimentEngine(
@@ -331,4 +294,3 @@ class TestTracePages:
             trace_store=store)
         assert _canonical(faulty.run(specs)) == _canonical(clean_payloads)
         assert faulty.summary()["failures"] == 0
-        assert set(shm_pages.leaked_pages()) <= before

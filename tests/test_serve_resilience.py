@@ -5,16 +5,21 @@ service"): per-request deadlines abandon the *wait*, never the shared
 coalesced computation — the result still lands in the tiered cache;
 admission control sheds overload as HTTP 503 with ``Retry-After`` and
 per-tenant fairness counters; graceful drain finishes in-flight work,
-flushes the stores and refuses new requests; a hung server thread is a
-raised :class:`ShutdownLeak`, not a silent leak.
+refuses new requests, and lets connections that were already open
+finish with a 503 before ``repro serve`` exits; a hung server thread is
+a raised :class:`ShutdownLeak`, not a silent leak; and no test leaves a
+task pending when its event loop closes.
 """
 
 import asyncio
+import gc
 import json
 import logging
 import os
 import pathlib
+import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -36,6 +41,34 @@ from repro.serve import (
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCALE = 150  # characters: ~seconds per uncached simulation
+
+
+@pytest.fixture(autouse=True)
+def no_task_left_pending():
+    """Fail a test whose event loop closed with a task still pending.
+
+    asyncio logs "Task was destroyed but it is pending!" only when such
+    a task is collected, which can be long after its loop closed: a
+    worker thread still running the simulation keeps it alive.  So the
+    check waits for the loops' executor threads, collects, and then
+    looks at what asyncio logged during the test."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    asyncio_logger = logging.getLogger("asyncio")
+    asyncio_logger.addHandler(handler)
+    try:
+        yield
+        for thread in threading.enumerate():
+            if thread.name.startswith("asyncio_"):
+                thread.join(timeout=120)
+        gc.collect()
+    finally:
+        asyncio_logger.removeHandler(handler)
+    destroyed = [record.getMessage() for record in records
+                 if "Task was destroyed but it is pending"
+                 in record.getMessage()]
+    assert not destroyed, destroyed
 
 
 def _engine(tmp_path, name="cache"):
@@ -211,6 +244,9 @@ class TestDeadlines:
                 assert excinfo.value.code == 504
                 assert "deadline" in json.loads(excinfo.value.read())["error"]
                 release.set()
+                # Settle the abandoned computation before the loop
+                # closes, or its task is destroyed while pending.
+                assert server.drain()["inflight_completed"] == 1
         finally:
             release.set()
 
@@ -376,6 +412,15 @@ class TestShedding:
         assert stats["serve"]["draining"] is False
         assert set(stats) == {"serve", "limits", "tenants", "stores",
                               "engine"}
+        assert set(stats["engine"]) == {
+            "plans", "windows", "cache_hits", "cache_misses", "failures",
+            "retries", "group_fallbacks", "window_wall_s", "elapsed_s",
+            "simulated_cycles", "simulated_instructions", "workers",
+            "trace_hits", "trace_misses", "functional_steps",
+            "fastpath_windows", "goldenpath_windows", "timing_kernels",
+            "timing_routes", "validation_passes", "validation_divergences",
+            "resumed", "integrity", "stores"}
+        assert stats["engine"]["group_fallbacks"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -431,8 +476,9 @@ class TestDrain:
             await asyncio.sleep(0.05)
             report = await service.drain()
             release.set()  # free the worker thread
-            with pytest.raises(asyncio.CancelledError):
+            with pytest.raises(Shed, match="drained") as excinfo:
                 await hung
+            assert excinfo.value.retry_after == 5.0
             return report
 
         report = _run(scenario())
@@ -453,6 +499,31 @@ class TestDrain:
             assert excinfo.value.headers["Retry-After"] == "5"
             stats = json.loads(_get(server, "/statsz").read())
             assert stats["serve"]["draining"] is True
+
+    def test_http_request_cancelled_by_drain_is_503(self, tmp_path):
+        """A request whose computation the drain cancels is answered
+        503 + ``Retry-After``, not dropped."""
+        service = _service(tmp_path, drain_timeout=0.1)
+        started, release = _slow(service)
+        replies = []
+
+        def request():
+            try:
+                _get(server, f"/v1/figure/figure13?scale={SCALE}")
+            except urllib.error.HTTPError as exc:
+                replies.append((exc.code, exc.headers["Retry-After"]))
+
+        try:
+            with ServerThread(service) as server:
+                client = threading.Thread(target=request)
+                client.start()
+                assert started.wait(timeout=30)
+                report = server.drain()
+                client.join(timeout=60)
+        finally:
+            release.set()
+        assert report["inflight_cancelled"] == 1
+        assert replies == [(503, "5")]
 
     def test_http_drain_is_get_405(self, tmp_path):
         with ServerThread(_service(tmp_path)) as server:
@@ -506,21 +577,48 @@ class TestShutdownLeak:
 
 
 # ----------------------------------------------------------------------
-# The CLI: SIGTERM means drain-and-exit-0.
+# The CLI: SIGTERM or a drain request means drain-and-exit-0.
+
+
+def _serve_process(tmp_path, **env_overrides):
+    """A real ``repro serve --port 0`` and the port its banner names."""
+    env = dict(os.environ,
+               PYTHONPATH=str(REPO_ROOT / "src"),
+               REPRO_CACHE_DIR=str(tmp_path / "cache"), **env_overrides)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        stderr=subprocess.PIPE, stdout=subprocess.DEVNULL,
+        env=env, cwd=str(tmp_path), text=True)
+    banner = process.stderr.readline()
+    match = re.search(r"http://[^:]+:(\d+)", banner)
+    if match is None:
+        process.kill()
+        process.wait(timeout=30)
+        pytest.fail(f"no listening banner: {banner!r}")
+    return process, int(match.group(1))
+
+
+def _post_drain(port):
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}/v1/admin/drain", data=b"", method="POST")
+    with urllib.request.urlopen(request, timeout=60) as response:
+        assert response.status == 200
+        return json.loads(response.read())
+
+
+def _receive_all(connection):
+    reply = b""
+    while True:
+        chunk = connection.recv(65536)
+        if not chunk:
+            return reply
+        reply += chunk
 
 
 class TestCliSigterm:
     def test_sigterm_drains_cleanly_and_exits_zero(self, tmp_path):
-        env = dict(os.environ,
-                   PYTHONPATH=str(REPO_ROOT / "src"),
-                   REPRO_CACHE_DIR=str(tmp_path / "cache"))
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0"],
-            stderr=subprocess.PIPE, stdout=subprocess.DEVNULL,
-            env=env, cwd=str(tmp_path), text=True)
+        process, _port = _serve_process(tmp_path)
         try:
-            banner = process.stderr.readline()
-            assert "listening on http://" in banner
             process.send_signal(signal.SIGTERM)
             remainder = process.stderr.read()
             code = process.wait(timeout=60)
@@ -530,3 +628,54 @@ class TestCliSigterm:
                 process.wait(timeout=30)
         assert code == 0
         assert "[serve: drained cleanly]" in remainder
+
+
+class TestCliDrainRelease:
+    """``repro serve`` returns from a drain only after the connections
+    that were open at the drain have finished."""
+
+    def test_connection_held_across_drain_gets_503(self, tmp_path):
+        process, port = _serve_process(tmp_path)
+        try:
+            held = socket.create_connection(("127.0.0.1", port), timeout=60)
+            time.sleep(0.2)  # the server accepts it before the drain
+            assert _post_drain(port)["drained"] is True
+            time.sleep(0.5)  # the request arrives well after the drain
+            held.sendall(f"GET /v1/figure/figure13?scale={SCALE} "
+                         f"HTTP/1.1\r\nHost: test\r\n\r\n".encode())
+            reply = _receive_all(held)
+            held.close()
+            remainder = process.stderr.read()
+            code = process.wait(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=30)
+        head = reply.partition(b"\r\n\r\n")[0].decode("latin-1")
+        assert head.startswith("HTTP/1.1 503"), reply
+        assert "Retry-After: 5" in head.split("\r\n")
+        assert code == 0
+        assert "CancelledError" not in remainder
+        assert "Traceback" not in remainder
+        assert "[serve: drained cleanly]" in remainder
+
+    def test_silent_connection_is_closed_at_the_drain_timeout(self,
+                                                             tmp_path):
+        process, port = _serve_process(tmp_path,
+                                       REPRO_SERVE_DRAIN_TIMEOUT="0.5")
+        try:
+            held = socket.create_connection(("127.0.0.1", port), timeout=60)
+            time.sleep(0.2)
+            _post_drain(port)
+            code = process.wait(timeout=60)  # without a request sent
+            remainder = process.stderr.read()
+            held.close()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=30)
+        assert code == 0
+        assert "CancelledError" not in remainder
+        assert "Traceback" not in remainder
+        assert "[serve: drained cleanly]" in remainder
+
