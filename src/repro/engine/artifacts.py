@@ -32,9 +32,9 @@ import functools
 import json
 import pathlib
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from .integrity import LedgerReport, check_ledger_line, ledger_line_crc
 
@@ -49,6 +49,10 @@ VALIDATION_TYPE = "validation"
 #: call: the plan, windows_run/windows_population and per-stratum CI
 #: half-widths).
 PLAN_TYPE = "plan"
+
+#: Plan records :meth:`RunRecorder.summary` keeps, the most recent
+#: last; ``plan_modes`` counts every plan.
+PLAN_HISTORY = 8
 
 
 @dataclass
@@ -126,14 +130,15 @@ class RunRecorder:
 
     The recorder keeps running aggregates only — the fields of
     :meth:`summary` — so a long-lived process (``repro serve``) holds
-    the same few counters after a million windows as after one; only
-    ``plans`` gains an entry per planned run.  The JSONL ledger is the
-    per-window record.
+    the same few counters after a million windows as after one, and
+    the last :data:`PLAN_HISTORY` plan records.  The JSONL ledger is
+    the per-window record.
     """
 
     def __init__(self, log_path: Optional[pathlib.Path] = None) -> None:
         self.log_path = pathlib.Path(log_path) if log_path else None
-        self.plans: List[Dict[str, Any]] = []
+        self.plans: Deque[Dict[str, Any]] = deque(maxlen=PLAN_HISTORY)
+        self._plan_modes: Counter = Counter()
         self.meta: Optional[Dict[str, Any]] = None
         self._started = time.time()
         self._windows = self._retries = self._wall_s = 0
@@ -173,6 +178,20 @@ class RunRecorder:
         if self.log_path is not None:
             self._append_line(record.to_dict())
 
+    def record_hits(self, windows: int, cycles: int,
+                    instructions: int) -> None:
+        """Count ``windows`` result-cache hits with their summed
+        ``cycles`` and ``instructions``: the aggregate effect of
+        :meth:`record` for the same hits.  Without a ledger the engine
+        counts hits this way and builds no :class:`WindowRecord`, so a
+        subclass that overrides :meth:`record` sees hits only when it
+        has a ``log_path``."""
+        self._windows += windows
+        self._wall_s += 0.0  # a hit's wall_s: the sum turns float
+        self._tallies["cache"]["hit"] += windows
+        self._cycles += cycles
+        self._instructions += instructions
+
     def record_group_fallback(self) -> None:
         """Count one batched group replay that raised and was re-run
         one window at a time."""
@@ -187,6 +206,7 @@ class RunRecorder:
         """Log one sampling-plan telemetry record (plan identity,
         windows_run/windows_population, per-stratum CI half-widths)."""
         self.plans.append(dict(detail))
+        self._plan_modes[detail["plan"]["mode"]] += 1
         self._append_line(dict(detail, record_type=PLAN_TYPE))
 
     def summary(self) -> Dict[str, Any]:
@@ -196,6 +216,7 @@ class RunRecorder:
             for name in ("cache", "trace", "timing_path", "validation"))
         return {
             "plans": [dict(plan) for plan in self.plans],
+            "plan_modes": _tally(self._plan_modes),
             "windows": self._windows,
             "cache_hits": cache["hit"],
             "cache_misses": self._windows - cache["hit"] - cache["failed"],

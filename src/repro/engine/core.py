@@ -26,7 +26,8 @@ payloads; the engine owns everything in between:
   placeholder so reducers can degrade gracefully;
 * **observability** — every window (hit, miss, or failure) is logged
   to the engine's :class:`~repro.engine.artifacts.RunRecorder`,
-  including its attempt count and trace-store usage.
+  including its attempt count and trace-store usage; without a ledger
+  a cache hit is only counted (:meth:`RunRecorder.record_hits`).
 
 Windows are pure functions of their specs, so hit-vs-miss,
 record-vs-replay, serial-vs-parallel and fault-vs-clean execution
@@ -37,6 +38,7 @@ cannot change results, only wall time; ``tests/test_engine.py`` and
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import pickle
 import time
@@ -228,6 +230,15 @@ class _WorkerRun:
     trace_enabled: bool
 
 
+@functools.lru_cache(maxsize=1)
+def _worker_trace_store(root: str, enabled: bool,
+                        policy: str) -> TraceStore:
+    """A pool worker's trace store, kept for the life of its process,
+    so the handle LRU serves every window of one trace after the first
+    decode."""
+    return TraceStore(root, enabled=enabled, policy=policy)
+
+
 def _pool_execute(item: Tuple[int, Dict[str, Any], _WorkerRun, int]):
     """Top-level worker entry (must be picklable)."""
     index, spec_dict, run, attempt = item
@@ -235,8 +246,8 @@ def _pool_execute(item: Tuple[int, Dict[str, Any], _WorkerRun, int]):
     spec = WindowSpec.from_dict(spec_dict)
     started = time.perf_counter()
     maybe_inject(spec.cache_key, attempt, cfg.fault_rate, in_worker=True)
-    store = TraceStore(run.trace_root, enabled=run.trace_enabled,
-                       policy=cfg.integrity)
+    store = _worker_trace_store(run.trace_root, run.trace_enabled,
+                                cfg.integrity)
     validation = ValidationSettings(every=cfg.validate_every,
                                     policy=cfg.validate_policy)
     with fastpath_override(cfg.fast), active_store(store), \
@@ -306,16 +317,28 @@ class ExperimentEngine:
         """Execute every spec; payloads are returned in spec order."""
         results: List[Optional[Dict[str, Any]]] = [None] * len(specs)
         misses: List[int] = []
+        resume_keys = self.resume_keys
+        # Without a ledger a hit is only counted: the recorder would
+        # fold its WindowRecord into these same three sums.
+        count_hits = self.recorder.log_path is None
+        hits = cycles = instructions = 0
         for index, spec in enumerate(specs):
             cached = self.cache.get(spec)
-            if cached is not None:
-                results[index] = cached
-                if spec.cache_key in self.resume_keys:
-                    self.resumed += 1
+            if cached is None:
+                misses.append(index)
+                continue
+            results[index] = cached
+            if resume_keys and spec.cache_key in resume_keys:
+                self.resumed += 1
+            if count_hits:
+                hits += 1
+                cycles += cached.get("cycles") or 0
+                instructions += cached.get("instructions") or 0
+            else:
                 self._record(spec, cached, cache="hit", wall_s=0.0,
                              worker=None)
-            else:
-                misses.append(index)
+        if hits:
+            self.recorder.record_hits(hits, cycles, instructions)
 
         if misses:
             if self.jobs > 1 and len(misses) > 1:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple
 
@@ -27,6 +28,22 @@ from typing import Any, Dict, Mapping, Tuple
 #: ``docs/integrity.md``), so pre-integrity entries invalidate
 #: wholesale instead of tripping digest verification.
 SCHEMA_VERSION = 2
+
+
+#: Bound of the process-wide digest memo (first in, first out).  An
+#: entry is the ``repr`` of one spec's identity plus its digest, about
+#: 400 bytes, so a full memo holds under 1 MB; the benchmark's served
+#: mix of eight requests uses 133 entries.
+KEY_MEMO_LIMIT = 2048
+
+#: ``repr((kind, params))`` -> digest, shared by every spec with that
+#: exact canonical form: a request rebuilds its specs, and the rebuilt
+#: ones reuse the digest instead of redoing ``json.dumps`` + sha256.
+#: Keyed by ``repr``, not by the spec, because equality cannot tell
+#: ``1`` from ``1.0`` or ``True`` while the digest does; their reprs
+#: differ, and an enum member's repr names its class and value.
+_key_memo: Dict[str, str] = {}
+_key_memo_lock = threading.Lock()
 
 
 #: Exact scalar types ``_canonical`` returns as they are; a subclass
@@ -105,17 +122,26 @@ class WindowSpec:
 
         Computed on first use and kept in the instance ``__dict__``
         (the dataclass is frozen, so its fields cannot change under
-        it); equality and hashing still read the fields only.
+        it); equality and hashing still read the fields only.  A new
+        instance with the same canonical form takes the digest from
+        the process-wide memo (:data:`KEY_MEMO_LIMIT`).
         """
         key = self.__dict__.get("_cache_key")
         if key is None:
-            blob = json.dumps(
-                {"schema": SCHEMA_VERSION,
-                 "kind": self.kind,
-                 "params": self.params_dict()},
-                sort_keys=True, separators=(",", ":"),
-            )
-            key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            form = repr((self.kind, self.params))
+            key = _key_memo.get(form)
+            if key is None:
+                blob = json.dumps(
+                    {"schema": SCHEMA_VERSION,
+                     "kind": self.kind,
+                     "params": self.params_dict()},
+                    sort_keys=True, separators=(",", ":"),
+                )
+                key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+                with _key_memo_lock:
+                    if len(_key_memo) >= KEY_MEMO_LIMIT:
+                        del _key_memo[next(iter(_key_memo))]
+                    _key_memo[form] = key
             self.__dict__["_cache_key"] = key
         return key
 

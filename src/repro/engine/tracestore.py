@@ -20,8 +20,8 @@ share one store.  The memory tier holds open
 :class:`~repro.sim.trace_io.RecordedTrace` handles — a config sweep
 replays the same key once per configuration, and sharing the handle
 amortises the one-time columnar decode across all of them.  The handle
-LRU holds :data:`TRACE_HANDLE_LIMIT` traces.  Pool workers open
-the same store from its root and read through the same tiers.
+LRU holds :data:`TRACE_HANDLE_LIMIT` traces.  Each pool worker opens
+the same store from its root once and reads through the same tiers.
 
 Every trace carries per-section CRC32s (``docs/integrity.md``); what a
 failed verification becomes is the store's ``policy`` — ``verify``
@@ -236,8 +236,8 @@ class TraceStore:
 # The active store.  Window runners execute deep inside the engine —
 # possibly in a pool worker process — so the store travels as module
 # state rather than threading through every runner signature.  The
-# engine installs its store around serial execution; pool workers
-# install a reconstructed one from the shipped (root, enabled) pair.
+# engine installs its store around serial execution; a pool worker
+# installs the one it opened from the shipped (root, enabled) pair.
 
 _active_store: Optional[TraceStore] = None
 

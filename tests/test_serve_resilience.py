@@ -413,8 +413,9 @@ class TestShedding:
         assert set(stats) == {"serve", "limits", "tenants", "stores",
                               "engine"}
         assert set(stats["engine"]) == {
-            "plans", "windows", "cache_hits", "cache_misses", "failures",
-            "retries", "group_fallbacks", "window_wall_s", "elapsed_s",
+            "plans", "plan_modes", "windows", "cache_hits", "cache_misses",
+            "failures", "retries", "group_fallbacks", "window_wall_s",
+            "elapsed_s",
             "simulated_cycles", "simulated_instructions", "workers",
             "trace_hits", "trace_misses", "functional_steps",
             "fastpath_windows", "goldenpath_windows", "timing_kernels",

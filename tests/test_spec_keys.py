@@ -16,13 +16,15 @@ engine whose ``run`` records the specs it is handed and stops.
 """
 
 import hashlib
+import json
 from enum import IntEnum
 
 import pytest
 
 from repro import api
-from repro.engine import ExperimentEngine, WindowSpec
+from repro.engine import SCHEMA_VERSION, ExperimentEngine, WindowSpec
 from repro.engine.cache import ResultCache
+from repro.engine.spec import KEY_MEMO_LIMIT
 from repro.engine.tracestore import TraceStore
 from repro.experiments.bench_timing import scorecard_bench_specs
 from repro.experiments.entropy import adversarial_window_spec
@@ -234,3 +236,78 @@ def test_key_and_label_are_stable_per_instance():
     twin = WindowSpec.make("edge", **spec.params_dict())
     assert twin == spec and hash(twin) == hash(spec)
     assert twin.cache_key == spec.cache_key
+
+
+# ----------------------------------------------------------------------
+# The process-wide digest memo: keyed by the exact canonical form, so
+# parameters that compare equal but hash to different keys never share
+# an entry.
+
+#: Keys of values the memo must keep apart, beside ``EDGE_KEYS``.
+MEMO_KEYS = {
+    "one_str": "8cff51ee82cff69486724a951ea37cf2b7616d1c19563583558a7754fdb964dc",
+    "pairs": "c3265d78584e4b20323e196c5df11edac033f3b6cd7f97e6e38d5746c1a54af9",
+}
+
+
+@pytest.fixture
+def key_memo(monkeypatch):
+    """An empty memo for one test."""
+    from repro.engine import spec as spec_module
+
+    memo = {}
+    monkeypatch.setattr(spec_module, "_key_memo", memo)
+    return memo
+
+
+_EQUAL_VALUES = {"one": 1, "true": True, "one_float": 1.0, "one_str": "1"}
+
+
+@pytest.mark.parametrize("order", [
+    ("one", "true", "one_float", "one_str"),
+    ("one_str", "one_float", "true", "one"),
+    ("true", "one", "one_str", "one_float"),
+])
+def test_memo_keeps_equal_values_apart(key_memo, order):
+    pinned = dict(EDGE_KEYS, **MEMO_KEYS)
+    for _ in range(2):  # the second pass reads every key from the memo
+        keys = {name: WindowSpec.make("edge",
+                                      interval=_EQUAL_VALUES[name]).cache_key
+                for name in order}
+        assert keys == {name: pinned[name] for name in order}
+    assert len(set(keys.values())) == 4
+    assert len(key_memo) == 4
+
+
+def test_memo_keeps_pinned_enum_and_pair_keys(key_memo):
+    for _ in range(2):
+        assert WindowSpec.make("edge", interval=1).cache_key \
+            == EDGE_KEYS["one"]
+        assert WindowSpec.make("edge", interval=_Level.LOW).cache_key \
+            == EDGE_KEYS["one"]
+        assert WindowSpec.make("edge", config=[("a", 1)]).cache_key \
+            == MEMO_KEYS["pairs"]
+        assert WindowSpec.make("edge", config={"a": 1}).cache_key \
+            == MEMO_KEYS["pairs"]
+
+
+def _reference_key(kind, params):
+    blob = json.dumps({"schema": SCHEMA_VERSION, "kind": kind,
+                       "params": params},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def test_memo_past_its_bound_still_returns_correct_keys(key_memo):
+    total = KEY_MEMO_LIMIT + 300
+    params = [{"interval": index, "scale": index / 8}
+              for index in range(total)]
+    for _ in range(2):  # the second pass finds the first specs evicted
+        for index in (0, 1, 299, 300, total - 1):
+            spec = WindowSpec.make("edge", **params[index])
+            assert spec.cache_key == _reference_key("edge", params[index])
+        for entry in params:
+            WindowSpec.make("edge", **entry).cache_key
+        assert len(key_memo) == KEY_MEMO_LIMIT
+    assert WindowSpec.make("edge", interval=True).cache_key \
+        == EDGE_KEYS["true"]
