@@ -304,10 +304,12 @@ def run_fuzz(*, windows: int = 25, seed: Optional[int] = None,
              engine: Optional[ExperimentEngine] = None) -> FigureResult:
     """Cross-path differential fuzzing over generated programs.
 
-    Runs ``windows`` adversarial programs through every independent
-    execution path (lock-step, golden replay, loop kernel, vector
-    kernel, trap-emulated ``brr``) and diffs canonical stats;
-    divergences are shrunk to minimal programs.  ``serve_diff``
+    Runs ``windows`` adversarial programs through every execution path
+    (lock-step, golden replay, loop kernel, vector kernel,
+    trap-emulated ``brr``) and diffs canonical stats; the two fast
+    kernels share their cache and predictor passes, so those answer
+    to golden replay and lock-step.  Divergences are shrunk to minimal
+    programs.  ``serve_diff``
     additionally byte-compares each window served by an ephemeral
     ``repro serve`` instance against the local façade document.
     ``data["failed"]`` mirrors the CLI's non-zero exit condition.  The

@@ -79,11 +79,11 @@ class WindowRecord:
     #: run.  The record/replay speedup criterion is audited from this.
     functional_steps: Optional[int] = None
     #: Which timing implementation ran the window: "fast" (batched
-    #: columnar kernel), "golden" (per-record replay loop), "lockstep"
-    #: (no trace store), or None (untimed window or result-cache hit).
+    #: columnar kernel), "golden" (per-record replay loop), or None
+    #: (untimed window or result-cache hit).
     timing_path: Optional[str] = None
     #: The kernel that actually replayed the window: "vector", "loop"
-    #: or "golden" (None where ``timing_path`` is None or "lockstep").
+    #: or "golden" (None where ``timing_path`` is None).
     timing_kernel: Optional[str] = None
     #: Why the vector kernel did or did not replay it: "admitted",
     #: "dense" / "shared_lfsr" (refused by admission) or "envelope"

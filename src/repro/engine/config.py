@@ -77,10 +77,10 @@ class EngineConfig:
     #: Worker processes per window batch; ``None`` means the caller's
     #: default (the library runs serially, the CLI uses every core).
     jobs: Optional[int] = None
-    #: Replay kernel selection: ``"vector"`` (fixpoint span kernel),
-    #: ``"loop"`` (per-record columnar kernel) or ``"off"`` (golden
-    #: model).  The boolean spellings are deprecated and mapped to
-    #: ``"vector"``/``"off"``.
+    #: Replay kernel selection: ``"vector"`` (admission routes each
+    #: window to the fixpoint span kernel or the per-record loop
+    #: kernel) or ``"off"`` (golden model).  Anything else, the retired
+    #: ``"loop"`` and boolean spellings included, raises.
     fast: str = "vector"
     #: Per-window wall-clock timeout in seconds for pool execution
     #: (``None`` = no timeout).  A window that exceeds it is treated as

@@ -61,23 +61,22 @@ def _timed_window(
     fast_forward: Optional[Tuple[int, int]] = None,
 ):
     """Execute one marker-delimited timing window, record-once /
-    replay-many when a trace store is active.
+    replay-many.
 
     The store is keyed by the spec's *functional projection* (``config``
     excluded — see :mod:`repro.engine.tracestore`), so every timing
     configuration of the same program/seed/markers shares a single
     recorded functional stream: the first execution records it (N
     functional ``Machine.step()`` calls), every later one replays it
-    (zero).  Without an active store the lock-step reference path runs
-    unchanged.  Per-window trace telemetry (hit/miss, encoded bytes,
-    functional steps) is left for the engine via
+    (zero).  Without an active store the window is recorded in memory
+    and replayed the same way.  Per-window trace telemetry (hit/miss,
+    encoded bytes, functional steps) is left for the engine via
     :func:`~repro.engine.tracestore.consume_trace_info`.
     """
     from ..timing.runner import (
         consume_replay_info,
         record_window,
         replay_window,
-        time_window,
     )
     from .tracestore import (
         functional_key,
@@ -85,34 +84,29 @@ def _timed_window(
         set_last_trace_info,
     )
 
+    def record(path):
+        return record_window(program, end, brr_unit=brr_unit, setup=setup,
+                             path=path)
+
     store = get_active_store()
     if store is None or not store.enabled:
-        result = time_window(program, begin=begin, end=end, setup=setup,
-                             brr_unit=brr_unit, fast_forward=fast_forward,
-                             config=_config_from(params))
-        set_last_trace_info({
-            "trace": "off",
-            "trace_bytes": None,
-            "functional_steps": result.total_steps,
-            "timing_path": "lockstep",
-            "replay_records_per_s": None,
-        })
-        return result
-
-    key = functional_key(kind, params)
-    trace = store.load(key)
-    if trace is None:
-        trace = store.record(key, lambda path: record_window(
-            program, end, brr_unit=brr_unit, setup=setup, path=path))
-        usage, functional_steps = "miss", len(trace)
+        trace = record(None)
+        usage, trace_bytes, functional_steps = "off", None, len(trace)
     else:
-        usage, functional_steps = "hit", 0
+        key = functional_key(kind, params)
+        trace = store.load(key)
+        if trace is None:
+            trace = store.record(key, record)
+            usage, functional_steps = "miss", len(trace)
+        else:
+            usage, functional_steps = "hit", 0
+        trace_bytes = trace.nbytes
     result = replay_window(trace, begin, end, config=_config_from(params),
                            fast_forward=fast_forward, program=program)
     replay_info = consume_replay_info() or {}
     info = {
         "trace": usage,
-        "trace_bytes": trace.nbytes,
+        "trace_bytes": trace_bytes,
         "functional_steps": functional_steps,
         "timing_path": replay_info.get("timing_path"),
         "timing_kernel": replay_info.get("timing_kernel"),

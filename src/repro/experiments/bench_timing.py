@@ -6,8 +6,8 @@ framework combinations — through every replay implementation:
 
 * the per-record golden loop (``replay_window(..., fast="off")``) —
   the reference both for correctness and for speedups;
-* the ``loop`` kernel (:mod:`repro.timing.fastpath`) — the per-record
-  columnar fast path, the committed v1 baseline;
+* the ``loop`` kernel (:func:`repro.timing.fastpath.run_fastpath`,
+  called directly) — the event passes plus the per-record residue;
 * the ``vector`` kernel (:mod:`repro.timing.fastpath_vec`) — the
   span-replay fixpoint kernel, measured both *cold* (first replay:
   event passes + fixpoint from zero) and *warm* (steady state: the
@@ -73,8 +73,10 @@ def scorecard_bench_specs() -> List[WindowSpec]:
     ]
 
 
-#: Benchmarked kernel passes: knob value, plus whether the pass is a
-#: repeat (steady-state) measurement of the same kernel.
+#: Benchmarked kernel passes: ``loop`` (a direct
+#: :func:`~repro.timing.fastpath.run_fastpath` call) or a ``fast`` mode,
+#: plus whether the pass is a repeat (steady-state) measurement of the
+#: same kernel; every other pass starts from an empty per-trace memo.
 _PASSES = (("loop", "loop", False),
            ("vector", "vector", False),
            ("vector_warm", "vector", True))
@@ -95,7 +97,13 @@ def _bench_window(spec: WindowSpec) -> Dict[str, Any]:
     """Record one window, replay it on every kernel, compare and time."""
     from ..sim.trace_io import RecordedTrace
     from ..timing import fastpath_vec
-    from ..timing.runner import record_window, replay_window
+    from ..timing.fastpath import run_fastpath
+    from ..timing.runner import (
+        WindowResult,
+        _resolve_window,
+        record_window,
+        replay_window,
+    )
 
     params = spec.params_dict()
     started = time.perf_counter()
@@ -113,13 +121,22 @@ def _bench_window(spec: WindowSpec) -> Dict[str, Any]:
     )
     record_s = time.perf_counter() - started
 
-    def replay(fast):
+    def replay(mode):
         started = time.perf_counter()
-        result = replay_window(
-            trace, materials["begin"], materials["end"], config=config,
-            fast_forward=materials["fast_forward"],
-            program=materials["program"], fast=fast,
-        )
+        if mode == "loop":
+            window = _resolve_window(trace, materials["begin"],
+                                     materials["end"],
+                                     materials["fast_forward"])
+            result = WindowResult(
+                stats=run_fastpath(trace, *window, config=config,
+                                   program=materials["program"]),
+                total_steps=window[2] + 1)
+        else:
+            result = replay_window(
+                trace, materials["begin"], materials["end"], config=config,
+                fast_forward=materials["fast_forward"],
+                program=materials["program"], fast=mode,
+            )
         return result, time.perf_counter() - started
 
     # The recorded handle already holds the columns its recording
@@ -134,7 +151,9 @@ def _bench_window(spec: WindowSpec) -> Dict[str, Any]:
     golden, golden_s = replay("off")
     records = len(trace)
     kernels: Dict[str, Dict[str, Any]] = {}
-    for name, mode, _repeat in _PASSES:
+    for name, mode, repeat in _PASSES:
+        if not repeat:
+            trace.columns().vec_cache = None
         result, seconds = replay(mode)
         executed = (fastpath_vec.last_kernel or "loop") \
             if mode == "vector" else "loop"

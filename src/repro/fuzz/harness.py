@@ -1,15 +1,19 @@
 """Cross-path differential fuzzing over generated adversarial programs.
 
-Every generated window is executed through each *independent* path the
-codebase has for producing :class:`~repro.timing.pipeline.TimingStats`:
+Every generated window is executed through each path the codebase has
+for producing :class:`~repro.timing.pipeline.TimingStats`:
 
 * ``lockstep`` — the fresh-machine lock-step reference
   (:func:`~repro.timing.runner.time_window`);
 * ``golden`` — record-once / golden replay (``fast="off"``);
-* ``loop`` — the batched loop kernel (``fast="loop"``);
+* ``loop`` — the loop kernel (:func:`~repro.timing.fastpath.run_fastpath`),
+  called directly;
 * ``vector`` — the numpy span-replay kernel, entered past admission's
   cost check so the dense adversarial windows production routes to the
-  loop kernel still exercise its solver;
+  loop kernel still exercise its solver.  The two fast kernels share
+  the cache and branch event passes (:mod:`repro.timing.events`), so
+  for the caches and the predictor the independent oracles are golden
+  replay and lock-step, which :data:`TIMING_PAIRS` diffs them against;
 * ``trap`` — the two-word trap-emulated ``brr`` encoding, compared on
   the encoding-independent *functional* projection (checksum, marker
   counts, branch-on-random resolutions) because its code addresses and
@@ -155,8 +159,10 @@ def _timing_payloads(adversarial: AdversarialProgram,
                      config: TimingConfig,
                      fault: Optional[FaultHook]) -> Dict[str, Dict[str, Any]]:
     """Canonical TimingStats dicts for every timing path."""
+    from ..timing.fastpath import run_fastpath
     from ..timing.runner import (
         _replay_solver,
+        _resolve_window,
         record_window,
         replay_window,
         time_window,
@@ -172,10 +178,12 @@ def _timing_payloads(adversarial: AdversarialProgram,
                            brr_unit=adversarial.brr_unit(),
                            setup=adversarial.setup)
     payloads["lockstep"] = lockstep.stats.to_dict()
-    for path, fast in (("golden", "off"), ("loop", "loop")):
-        result = replay_window(trace, begin=_BEGIN, end=_END, config=config,
-                               program=program, fast=fast)
-        payloads[path] = result.stats.to_dict()
+    result = replay_window(trace, begin=_BEGIN, end=_END, config=config,
+                           program=program, fast="off")
+    payloads["golden"] = result.stats.to_dict()
+    payloads["loop"] = run_fastpath(
+        trace, *_resolve_window(trace, _BEGIN, _END, None), config=config,
+        program=program).to_dict()
     result = _replay_solver(trace, begin=_BEGIN, end=_END, config=config,
                             program=program)
     payloads["vector"] = result.stats.to_dict()

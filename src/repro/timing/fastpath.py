@@ -1,47 +1,34 @@
-"""Batched fast-path timing kernel over columnar traces.
+"""The loop kernel: the scalar residue of the fast path's event passes.
 
 :class:`~repro.timing.pipeline.TimingSimulator` is the golden
 reference: one ``step()`` call per retired instruction, dispatching
 through dataclass properties, small helper objects and the
 ``_Bandwidth`` maps.  That shape is ideal for auditing against the
-paper's Section 5.1 prose, but after PR 2 moved sweeps to
-record-once/replay-many it is also where nearly all scorecard wall
-time goes.  This module is the optimised replay path (rr-style: the
-*replayed* execution is the common case, so it gets the fast
-implementation):
+paper's Section 5.1 prose, but it is where replay time goes.  The fast
+path splits the same model in two.  The caches and the tournament
+predictor, BTB and RAS are timing-independent, so
+:mod:`repro.timing.events` simulates them once per window, in two
+memoised event passes.  The timing recurrence then runs over the
+passes' per-record products with one of two kernels:
 
-* the trace is decoded once into struct-of-arrays columns
-  (:meth:`~repro.sim.trace_io.RecordedTrace.columns`) — no per-record
-  ``TraceRecord`` objects;
-* branch-class dispatch, source/dest registers and latencies are
-  precomputed per static instruction word, so the hot loop indexes
-  flat tables instead of calling ``Instruction`` properties;
-* the tournament predictor's gshare/bimodal/chooser tables are flat
-  ``bytearray``\\ s of 2-bit counters, the BTB is a pair of lists, and
-  the cache hierarchy's LRU sets are plain insertion-ordered dicts;
-* the decode and commit ``_Bandwidth`` maps collapse to ring-buffer
-  slot allocators: their requests are frontier-monotonic (always at
-  or past the last allocated cycle), so a ``(cycle, slots_used)``
-  pair — a one-deep ring — reproduces the map bit for bit.  The
-  *issue* port is the one stage whose requests can fall behind the
-  frontier (a dependence-free instruction may issue long before a
-  load-miss chain completes), so it keeps the golden pruned-map
-  allocator, inlined with locals-bound state: matching the golden
-  path's prune semantics exactly is what keeps the stats
-  byte-identical;
-* all simulator state lives in local variables for the duration of
-  the loop.
+* :func:`run_fastpath` here (the ``loop`` kernel): one Python
+  iteration per record that keeps only the recurrence — fetch slots,
+  decode with the ROB / physical-register queues and shared-LFSR
+  packet splits, issue, commit and redirect steering.  The decode and
+  commit ``_Bandwidth`` maps collapse to one-deep ring allocators
+  (their requests are frontier-monotonic); the issue port, whose
+  requests can fall behind the frontier, keeps the golden pruned-map
+  allocator, inlined, because matching its prune semantics exactly is
+  what keeps the stats byte-identical;
+* the vector kernel (:mod:`.fastpath_vec`), which solves the same
+  recurrence with whole-window numpy passes and hands the windows it
+  does not admit or cannot solve to :func:`run_fastpath`.
 
-The contract is *bit-exact equivalence*: every
-:class:`~repro.timing.pipeline.TimingStats` produced here must equal
-the lock-step golden path byte for byte
-(``tests/test_fastpath_golden.py`` pins all 15 Figure-12 cells and 4
-Figure-13 combos; ``tests/test_fastpath_fuzz.py`` differentially
-fuzzes random programs over every branch class).  Anything the kernel
-cannot reproduce exactly (currently: trap-emulated records, or an
-issue-port request falling behind the retained bandwidth window)
-raises :class:`FastPathUnsupported` and the caller falls back to the
-golden loop.
+Both build their stats with :func:`_assemble_stats`.  The contract is
+*bit-exact equivalence* with the golden model
+(``tests/test_fastpath_golden.py``, ``tests/test_fastpath_fuzz.py``).
+Trap-emulated records raise :class:`FastPathUnsupported` and the
+caller falls back to the golden loop.
 
 ``EngineConfig(fast="off")`` (``REPRO_FAST=off``) opts out globally:
 the engine installs its kernel mode in-process and ships it to its
@@ -52,11 +39,16 @@ from __future__ import annotations
 
 import contextlib
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..isa.instructions import Instruction, Op
+import numpy as _np
+
 from ..sim.trace_io import RecordedTrace
 from .config import TimingConfig
+from .events import (
+    _K_BRR, _K_BRRA, _K_LOAD, _K_STORE, _branch_pass, _cache_pass,
+    _np_tables, _window_kc,
+)
 from .pipeline import TimingStats, _Bandwidth
 
 
@@ -68,14 +60,11 @@ class FastPathUnsupported(Exception):
 # ----------------------------------------------------------------------
 # Kernel selection (``EngineConfig.fast``):
 #
-#   ``vector`` — numpy span-replay kernel (:mod:`.fastpath_vec`), the
-#       default; falls back to ``loop`` for anything it cannot
-#       reproduce bit-exactly (and that in turn to the golden model);
-#   ``loop``   — the per-record columnar kernel in this module (the
-#       pre-v2 fast path);
-#   ``off``    — golden lock-step model only.
+#   ``vector`` — the default: admission (:mod:`.fastpath_vec`) routes
+#       each window to the numpy solver or to :func:`run_fastpath`;
+#   ``off``    — golden per-record model only.
 
-FAST_MODES = ("vector", "loop", "off")
+FAST_MODES = ("vector", "off")
 
 _override: Optional[str] = None
 
@@ -134,58 +123,46 @@ def stats_tap(tap):
 
 
 # ----------------------------------------------------------------------
-# Per-static-word metadata.
+# Stats.
 
-#: Branch-class codes used by the kernel's dispatch.
-_K_OTHER, _K_COND, _K_BRR, _K_BRRA, _K_JMP, _K_JAL, _K_JR, _K_LOAD, \
-    _K_STORE = range(9)
+#: The stats fields the timing recurrence produces (the event passes'
+#: cumulative counters give every other field).
+_TIMED_FIELDS = ("cycles", "brr_packet_splits", "rob_stall_cycles")
 
 
-def _word_tables(instrs: List[Instruction]) -> Tuple[bytearray, list, list,
-                                                     list, list, bytearray]:
-    """Flat per-word-id lookup tables: branch class, up to two source
-    registers (``-1`` = absent), destination register (``-1`` = none),
-    execution latency and the is-return flag."""
-    n = len(instrs)
-    kclass = bytearray(n)
-    src1 = [-1] * n
-    src2 = [-1] * n
-    dest = [-1] * n
-    lat = [1] * n
-    is_ret = bytearray(n)
-    for i, instr in enumerate(instrs):
-        op = instr.op
-        if op is Op.BRR:
-            kclass[i] = _K_BRR
-        elif op is Op.BRRA:
-            kclass[i] = _K_BRRA
-        elif instr.is_cond_branch:
-            kclass[i] = _K_COND
-        elif op is Op.JMP:
-            kclass[i] = _K_JMP
-        elif op is Op.JAL:
-            kclass[i] = _K_JAL
-        elif op is Op.JR:
-            kclass[i] = _K_JR
-            is_ret[i] = 1 if instr.is_return else 0
-        elif instr.is_load:
-            kclass[i] = _K_LOAD
-        elif instr.is_store:
-            kclass[i] = _K_STORE
-        sources = instr.sources()
-        if sources:
-            src1[i] = sources[0]
-            if len(sources) > 1:
-                src2[i] = sources[1]
-        d = instr.dest()
-        if d is not None:
-            dest[i] = d
-        lat[i] = instr.latency
-    return kclass, src1, src2, dest, lat, is_ret
+def _assemble_stats(counters: Dict, begin: int, end: int,
+                    timed_begin: Tuple[int, int, int],
+                    timed_end: Tuple[int, int, int]) -> TimingStats:
+    """The golden snapshot-and-subtract schedule over a replayed slice.
+
+    ``counters`` maps stats fields to cumulative per-record arrays of
+    the slice; ``timed_begin``/``timed_end`` hold the
+    :data:`_TIMED_FIELDS` after the slice records ``begin`` and
+    ``end``.  A ``begin`` before the slice (``i_begin <= i_skip``)
+    subtracts the golden model's all-zero initial snapshot.
+    """
+    fields = dict(zip(_TIMED_FIELDS, timed_end))
+    fields["instructions"] = end + 1
+    for name, cumulative in counters.items():
+        fields[name] = int(cumulative[end])
+    if begin >= 0:
+        fields["instructions"] -= begin + 1
+        for name, value in zip(_TIMED_FIELDS, timed_begin):
+            fields[name] -= value
+        for name, cumulative in counters.items():
+            fields[name] -= int(cumulative[begin])
+    stats = TimingStats(**fields)
+    return _stats_tap(stats) if _stats_tap is not None else stats
+
+
+def _empty_stats() -> TimingStats:
+    """A window that never steps: the golden model publishes nothing."""
+    stats = TimingStats()
+    return _stats_tap(stats) if _stats_tap is not None else stats
 
 
 # ----------------------------------------------------------------------
-# The kernel.
+# The loop kernel.
 
 def run_fastpath(
     trace: RecordedTrace,
@@ -195,28 +172,46 @@ def run_fastpath(
     config: Optional[TimingConfig] = None,
     program=None,
     prewarm_code: bool = True,
+    kc=None,
 ) -> TimingStats:
     """Replay records ``i_skip+1 .. i_end`` of ``trace`` and return the
     measured-window stats (records after ``i_begin`` — the same
     snapshot-and-subtract schedule as the golden
     :func:`~repro.timing.runner.replay_window` loop).
 
-    Raises :class:`FastPathUnsupported` for anything the kernel cannot
-    reproduce bit-exactly.
+    ``kc`` is the slice's per-record branch class when the caller
+    (vector admission) already gathered it.  The event passes come
+    from the per-trace memo.  Raises :class:`FastPathUnsupported` for
+    trap-emulated traces.
     """
     cfg = config or TimingConfig()
     cols = trace.columns()
     if cols.has_trapped:
         # Golden path raises on trap-emulated records; let it.
         raise FastPathUnsupported("trace contains trap-emulated records")
+    if prewarm_code and program is None:
+        raise ValueError("prewarm_code requires the program image")
+    lo = i_skip + 1
+    hi = i_end + 1
+    if hi <= lo:
+        return _empty_stats()
+    if kc is None:
+        kc = _window_kc(cols, lo, hi)
+    ifill, dlat, cache_counters = _cache_pass(cols, lo, hi, kc, cfg,
+                                              program, prewarm_code)
+    mis, ptk, branch_counters = _branch_pass(cols, lo, hi, kc, cfg)
 
-    # ----- columns ----------------------------------------------------
-    pcs = cols.pc
-    wids = cols.word_id
-    npcs = cols.next_pc
-    tks = cols.taken
-    mems = cols.mem_addr
-    kclass, src1, src2, dest, lat_tab, is_ret = _word_tables(cols.instrs)
+    # ----- per-record columns -----------------------------------------
+    _, src1w, src2w, destw, latw, _ = _np_tables(cols)
+    wid_np = _np.frombuffer(cols.word_id, dtype=_np.int64)[lo:hi]
+    lat = _np.where(kc == _K_LOAD, dlat,
+                    _np.where(kc == _K_STORE, 1, latw[wid_np]))
+    # How each record steers fetch: its misprediction class (1 front,
+    # 2 back), else 3 for a predicted-taken fetch break, else 0.
+    steer = _np.where(mis > 0, mis, ptk * 3)
+    rows = zip(kc.tolist(), ifill.tolist(), steer.tolist(),
+               destw[wid_np].tolist(), src1w[wid_np].tolist(),
+               src2w[wid_np].tolist(), lat.tolist())
 
     # ----- config locals ----------------------------------------------
     fetch_width = cfg.fetch_width
@@ -227,66 +222,15 @@ def run_fastpath(
     preg_budget = max(1, cfg.phys_regs - 16)
     frontend_depth = cfg.frontend_depth
     backend_penalty = cfg.backend_penalty
-    line_bytes = cfg.line_bytes
-    l1_lat = cfg.l1_latency
-    l2_lat = cfg.l2_latency
-    mem_lat = cfg.memory_latency
-    brr_front = cfg.brr_resolve_at_decode
-    brr_predicted = cfg.brr_uses_predictor
     brr_at_decode = cfg.brr_commits_at_decode
     brr_shared = cfg.brr_shared_lfsr
+    k_brr, k_brra = _K_BRR, _K_BRRA
     prune_threshold = _Bandwidth.PRUNE_THRESHOLD
     prune_window = _Bandwidth.PRUNE_WINDOW
-
-    # ----- predictor / BTB / RAS tables -------------------------------
-    h_mask = (1 << cfg.gshare_history_bits) - 1
-    g_tab = bytearray(b"\x01" * (1 << cfg.gshare_history_bits))
-    g_mask = h_mask
-    b_tab = bytearray(b"\x01" * cfg.bimodal_entries)
-    b_mask = cfg.bimodal_entries - 1
-    ch_tab = bytearray(b"\x01" * cfg.chooser_entries)
-    ch_mask = cfg.chooser_entries - 1
-    history = 0
-    btb_mask = cfg.btb_entries - 1
-    btb_tags = [-1] * cfg.btb_entries
-    btb_targets = [0] * cfg.btb_entries
-    ras_entries = cfg.ras_entries
-    ras_stack = [0] * ras_entries
-    ras_top = 0
-    ras_depth = 0
-
-    # ----- cache hierarchy (insertion-ordered dicts == true LRU) ------
-    i_nsets = cfg.l1i_size // (cfg.l1i_assoc * line_bytes)
-    d_nsets = cfg.l1d_size // (cfg.l1d_assoc * line_bytes)
-    l2_nsets = cfg.l2_size // (cfg.l2_assoc * line_bytes)
-    i_assoc, d_assoc, l2_assoc = cfg.l1i_assoc, cfg.l1d_assoc, cfg.l2_assoc
-    i_sets = [dict() for _ in range(i_nsets)]
-    d_sets = [dict() for _ in range(d_nsets)]
-    l2_sets = [dict() for _ in range(l2_nsets)]
-    i_miss = d_miss = l2_miss = 0
-
-    if prewarm_code:
-        if program is None:
-            raise ValueError("prewarm_code requires the program image")
-        addr = program.base
-        end_addr = program.end
-        while addr < end_addr:
-            line = addr // line_bytes
-            s2 = l2_sets[line % l2_nsets]
-            if line in s2:
-                del s2[line]
-                s2[line] = True
-            else:
-                l2_miss += 1
-                s2[line] = True
-                if len(s2) > l2_assoc:
-                    del s2[next(iter(s2))]
-            addr += line_bytes
 
     # ----- pipeline state ---------------------------------------------
     fetch_cycle = 0
     fetch_slots = fetch_width
-    last_line = -1
     # Decode/commit slot allocators: one-deep rings (frontier cycle +
     # slots used there); requests are provably >= the frontier.
     dcyc = -1
@@ -299,183 +243,44 @@ def run_fastpath(
     issue_counts = {}
     final_commit = 0
     reg_ready = [0] * 16
-    rob = deque()
-    pregs = deque()
+    # The ROB and rename-register queues hold release (commit) cycles,
+    # pre-filled with zeros: a never-used entry frees at cycle 0, which
+    # never delays decode, so no occupancy check is needed.
+    rob = deque([0] * rob_entries)
+    pregs = deque([0] * preg_budget)
     rob_append, rob_popleft = rob.append, rob.popleft
     pregs_append, pregs_popleft = pregs.append, pregs.popleft
     next_brr_slot = 0
+    brr_packet_splits = rob_stall_cycles = 0
 
-    # ----- counters ---------------------------------------------------
-    instructions = 0
-    cond_branches = cond_mispredicts = 0
-    brr_resolved = brr_taken = 0
-    frontend_redirects = backend_redirects = 0
-    brr_packet_splits = fetch_breaks = rob_stall_cycles = 0
-    loads = stores = 0
-
-    baseline = None  # counters snapshot taken after stepping i_begin
-
-    index = i_skip + 1
-    while index <= i_end:
-        pc = pcs[index]
-        wid = wids[index]
-        next_pc = npcs[index]
-        tk = tks[index]
-        kc = kclass[wid]
-
+    snap = i_begin - lo
+    timed_begin = (0, 0, 0)
+    for e, (k, fill, steer, dst, s1, s2, latency) in enumerate(rows):
         # ---------------- fetch ----------------
-        line = pc // line_bytes
-        if line != last_line:
-            s1 = i_sets[line % i_nsets]
-            if line in s1:
-                del s1[line]
-                s1[line] = True
-            else:
-                i_miss += 1
-                s2 = l2_sets[line % l2_nsets]
-                if line in s2:
-                    del s2[line]
-                    s2[line] = True
-                    fill = l2_lat
-                else:
-                    l2_miss += 1
-                    s2[line] = True
-                    if len(s2) > l2_assoc:
-                        del s2[next(iter(s2))]
-                    fill = l2_lat + mem_lat
-                s1[line] = True
-                if len(s1) > i_assoc:
-                    del s1[next(iter(s1))]
-                latency = l1_lat + fill
-                if latency > l1_lat:
-                    fetch_cycle += latency - l1_lat
-                    fetch_slots = fetch_width
-            last_line = line
+        if fill:
+            fetch_cycle += fill
+            fetch_slots = fetch_width
         fetch = fetch_cycle
         fetch_slots -= 1
         if fetch_slots == 0:
             fetch_cycle = fetch + 1
             fetch_slots = fetch_width
 
-        # ---------------- predict ----------------
-        # mis: 0 = correct, 1 = front (resolved at decode), 2 = back.
-        mis = 0
-        ptaken = False
-        if kc != _K_OTHER:
-            if kc == _K_COND or (brr_predicted and kc == _K_BRR):
-                if kc == _K_COND:
-                    cond_branches += 1
-                    resolve = 2
-                else:
-                    brr_resolved += 1
-                    if tk:
-                        brr_taken += 1
-                    resolve = 1 if brr_front else 2
-                pc2 = pc >> 2
-                g_idx = (pc2 ^ history) & g_mask
-                g_ctr = g_tab[g_idx]
-                b_idx = pc2 & b_mask
-                b_ctr = b_tab[b_idx]
-                g_pred = g_ctr >= 2
-                b_pred = b_tab[b_idx] >= 2
-                bti = pc2 & btb_mask
-                if (g_pred if ch_tab[pc2 & ch_mask] >= 2 else b_pred):
-                    ptaken = btb_tags[bti] == pc
-                    if ptaken:
-                        correct = tk and btb_targets[bti] == next_pc
-                    else:
-                        correct = not tk
-                else:
-                    correct = not tk
-                if g_pred != b_pred:
-                    ci = pc2 & ch_mask
-                    c_ctr = ch_tab[ci]
-                    if g_pred == tk:
-                        if c_ctr < 3:
-                            ch_tab[ci] = c_ctr + 1
-                    elif c_ctr > 0:
-                        ch_tab[ci] = c_ctr - 1
-                if tk:
-                    if g_ctr < 3:
-                        g_tab[g_idx] = g_ctr + 1
-                elif g_ctr > 0:
-                    g_tab[g_idx] = g_ctr - 1
-                history = ((history << 1) | tk) & h_mask
-                if tk:
-                    if b_ctr < 3:
-                        b_tab[b_idx] = b_ctr + 1
-                elif b_ctr > 0:
-                    b_tab[b_idx] = b_ctr - 1
-                if tk:
-                    btb_tags[bti] = pc
-                    btb_targets[bti] = next_pc
-                if not correct:
-                    mis = resolve
-                    if kc == _K_COND:
-                        cond_mispredicts += 1
-            elif kc == _K_BRR or kc == _K_BRRA:
-                brr_resolved += 1
-                if tk:
-                    brr_taken += 1
-                if brr_predicted:
-                    # Only BRRA reaches here (predicted BRR handled
-                    # above); it predicts through the BTB alone.
-                    bti = (pc >> 2) & btb_mask
-                    ptaken = btb_tags[bti] == pc
-                    if not ptaken:
-                        mis = 1 if brr_front else 2
-                    btb_tags[bti] = pc
-                    btb_targets[bti] = next_pc
-                elif tk:
-                    mis = 1 if brr_front else 2
-            elif kc == _K_JMP or kc == _K_JAL:
-                bti = (pc >> 2) & btb_mask
-                ptaken = btb_tags[bti] == pc and btb_targets[bti] == next_pc
-                if not ptaken:
-                    mis = 1
-                btb_tags[bti] = pc
-                btb_targets[bti] = next_pc
-                if kc == _K_JAL:
-                    ras_top = (ras_top + 1) % ras_entries
-                    ras_stack[ras_top] = pc + 4
-                    if ras_depth < ras_entries:
-                        ras_depth += 1
-            elif kc == _K_JR:
-                if is_ret[wid]:
-                    if ras_depth == 0:
-                        matched = False
-                    else:
-                        matched = ras_stack[ras_top] == next_pc
-                        ras_top = (ras_top - 1) % ras_entries
-                        ras_depth -= 1
-                else:
-                    bti = (pc >> 2) & btb_mask
-                    matched = (btb_tags[bti] == pc
-                               and btb_targets[bti] == next_pc)
-                    btb_tags[bti] = pc
-                    btb_targets[bti] = next_pc
-                if matched:
-                    ptaken = True
-                else:
-                    mis = 2
-
         # ---------------- decode / rename ----------------
         ready = fetch + frontend_depth
         if ready < last_decode:
             ready = last_decode
-        if brr_shared and kc == _K_BRR:
+        if brr_shared and k == k_brr:
             if ready < next_brr_slot:
                 brr_packet_splits += 1
                 ready = next_brr_slot
-        commits_at_decode = brr_at_decode and (kc == _K_BRR or kc == _K_BRRA)
-        dst = dest[wid]
+        commits_at_decode = brr_at_decode and (k == k_brr or k == k_brra)
         if not commits_at_decode:
-            if len(rob) >= rob_entries:
-                free_at = rob_popleft()
-                if free_at > ready:
-                    rob_stall_cycles += free_at - ready
-                    ready = free_at
-            if dst >= 0 and len(pregs) >= preg_budget:
+            free_at = rob_popleft()
+            if free_at > ready:
+                rob_stall_cycles += free_at - ready
+                ready = free_at
+            if dst >= 0:
                 free_at = pregs_popleft()
                 if free_at > ready:
                     ready = free_at
@@ -489,7 +294,7 @@ def run_fastpath(
             dused = 1
         decode = dcyc
         last_decode = decode
-        if brr_shared and kc == _K_BRR:
+        if brr_shared and k == k_brr:
             next_brr_slot = decode + 1
 
         # ---------------- execute & commit ----------------
@@ -498,14 +303,12 @@ def run_fastpath(
             commit = decode
         else:
             ready_ex = decode + 1
-            s = src1[wid]
-            if s >= 0:
-                t = reg_ready[s]
+            if s1 >= 0:
+                t = reg_ready[s1]
                 if t > ready_ex:
                     ready_ex = t
-                s = src2[wid]
-                if s >= 0:
-                    t = reg_ready[s]
+                if s2 >= 0:
+                    t = reg_ready[s2]
                     if t > ready_ex:
                         ready_ex = t
             counts = issue_counts
@@ -517,63 +320,9 @@ def run_fastpath(
             counts[cycle] = count + 1
             if len(counts) > prune_threshold:
                 cutoff = cycle - prune_window
-                for key in [k for k in counts if k < cutoff]:
+                for key in [c for c in counts if c < cutoff]:
                     del counts[key]
-            issue = cycle
-            if kc == _K_LOAD:
-                loads += 1
-                maddr = mems[index]
-                line = maddr // line_bytes
-                s1 = d_sets[line % d_nsets]
-                if line in s1:
-                    del s1[line]
-                    s1[line] = True
-                    dlat = l1_lat
-                else:
-                    d_miss += 1
-                    s2 = l2_sets[line % l2_nsets]
-                    if line in s2:
-                        del s2[line]
-                        s2[line] = True
-                        fill = l2_lat
-                    else:
-                        l2_miss += 1
-                        s2[line] = True
-                        if len(s2) > l2_assoc:
-                            del s2[next(iter(s2))]
-                        fill = l2_lat + mem_lat
-                    s1[line] = True
-                    if len(s1) > d_assoc:
-                        del s1[next(iter(s1))]
-                    dlat = l1_lat + fill
-                if dlat < 1:
-                    dlat = 1
-                complete = issue + dlat
-            elif kc == _K_STORE:
-                stores += 1
-                maddr = mems[index]
-                line = maddr // line_bytes
-                s1 = d_sets[line % d_nsets]
-                if line in s1:
-                    del s1[line]
-                    s1[line] = True
-                else:
-                    d_miss += 1
-                    s2 = l2_sets[line % l2_nsets]
-                    if line in s2:
-                        del s2[line]
-                        s2[line] = True
-                    else:
-                        l2_miss += 1
-                        s2[line] = True
-                        if len(s2) > l2_assoc:
-                            del s2[next(iter(s2))]
-                    s1[line] = True
-                    if len(s1) > d_assoc:
-                        del s1[next(iter(s1))]
-                complete = issue + 1
-            else:
-                complete = issue + lat_tab[wid]
+            complete = cycle + latency
             if dst >= 0:
                 reg_ready[dst] = complete
             rc = complete + 1
@@ -596,65 +345,25 @@ def run_fastpath(
             final_commit = commit
 
         # ---------------- steer fetch ----------------
-        if mis == 1:
-            frontend_redirects += 1
-            resume = decode + 1
+        if steer:
+            if steer == 1:
+                resume = decode + 1
+            elif steer == 2:
+                resume = complete + 1
+                minimum = fetch + backend_penalty
+                if resume < minimum:
+                    resume = minimum
+            else:
+                resume = fetch + 1
             if resume > fetch_cycle:
                 fetch_cycle = resume
             fetch_slots = fetch_width
-            last_line = -1
-        elif mis == 2:
-            backend_redirects += 1
-            resume = complete + 1
-            minimum = fetch + backend_penalty
-            if resume < minimum:
-                resume = minimum
-            if resume > fetch_cycle:
-                fetch_cycle = resume
-            fetch_slots = fetch_width
-            last_line = -1
-        elif ptaken:
-            fetch_breaks += 1
-            if fetch + 1 > fetch_cycle:
-                fetch_cycle = fetch + 1
-            fetch_slots = fetch_width
-            last_line = -1
 
-        instructions += 1
+        if e == snap:
+            timed_begin = (final_commit + 1, brr_packet_splits,
+                           rob_stall_cycles)
 
-        if index == i_begin:
-            baseline = (instructions, final_commit + 1, cond_branches,
-                        cond_mispredicts, brr_resolved, brr_taken,
-                        frontend_redirects, backend_redirects,
-                        brr_packet_splits, fetch_breaks, rob_stall_cycles,
-                        loads, stores, i_miss, d_miss, l2_miss)
-        index += 1
-
-    # ------------------------------------------------------------------
-    # Mirror the golden schedule's snapshot-and-subtract arithmetic,
-    # including its two edge cases: counters are only *published* into
-    # the stats object by step(), so a window that never steps reports
-    # zeros (not the prewarm misses), and a baseline at or before the
-    # fast-forward point stays the all-zero initial snapshot.
-    if i_end > i_skip:
-        finals = (instructions, final_commit + 1, cond_branches,
-                  cond_mispredicts, brr_resolved, brr_taken,
-                  frontend_redirects, backend_redirects, brr_packet_splits,
-                  fetch_breaks, rob_stall_cycles, loads, stores,
-                  i_miss, d_miss, l2_miss)
-    else:
-        finals = (0,) * 16
-    if baseline is None:
-        baseline = (0,) * 16
-    diff = [f - b for f, b in zip(finals, baseline)]
-    stats = TimingStats(
-        instructions=diff[0], cycles=diff[1], cond_branches=diff[2],
-        cond_mispredicts=diff[3], brr_resolved=diff[4], brr_taken=diff[5],
-        frontend_redirects=diff[6], backend_redirects=diff[7],
-        brr_packet_splits=diff[8], fetch_breaks=diff[9],
-        rob_stall_cycles=diff[10], loads=diff[11], stores=diff[12],
-        icache_misses=diff[13], dcache_misses=diff[14], l2_misses=diff[15],
-    )
-    if _stats_tap is not None:
-        stats = _stats_tap(stats)
-    return stats
+    return _assemble_stats(
+        {**cache_counters, **branch_counters}, snap, hi - lo - 1,
+        timed_begin,
+        (final_commit + 1, brr_packet_splits, rob_stall_cycles))

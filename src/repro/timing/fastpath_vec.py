@@ -1,37 +1,22 @@
-"""Vectorized span-replay timing kernel (fast-path v2).
+"""Vectorized span-replay timing kernel (the default fast path).
 
-The loop kernel (:mod:`repro.timing.fastpath`) already replaced the
-golden model's per-record object dispatch with flat-table lookups, but
-it still executes one Python iteration per trace record (~640k
-records/s).  This module removes the per-record interpreter loop for
-the common case: replay becomes a handful of whole-window numpy array
-passes plus two small scalar sweeps over *event* records only.
+The loop kernel (:func:`repro.timing.fastpath.run_fastpath`) runs one
+Python iteration per record over the event passes' products.  This
+module removes that per-record loop for the windows where it pays: the
+timing recurrence becomes a handful of whole-window numpy array passes
+over the same memoised ``ifill``/``dlat``/``mis``/``ptk`` arrays and
+counters (:func:`~repro.timing.events._cache_pass`,
+:func:`~repro.timing.events._branch_pass`).
 
-The decomposition rests on three structural facts about the pipeline
-model, each of which is what makes a pass exact rather than
-approximate:
-
-* **cache-state evolution is timing-independent.**  The L1i lookup
-  happens only when the fetched line changes, and a redirect-forced
-  re-lookup of an unchanged line always hits the MRU way without
-  perturbing LRU order.  The interleaved L1i/L1d/L2 state therefore
-  evolves identically no matter how records are timed, so one scalar
-  sweep over line-change and memory records (~10-20%% of a trace)
-  precomputes every fetch-fill stall (``ifill``), load latency
-  (``dlat``) and miss counter, reusable across every replay sharing
-  the cache geometry;
-* **predictor evolution is timing-independent.**  The tournament
-  predictor, BTB and RAS are trained only by control-flow records, so
-  one scalar sweep over those (~2%% of a JVM trace) precomputes each
-  record's misprediction class (``mis``: 0 correct / 1 front / 2 back)
-  and predicted-taken flag;
-* **the frontier allocators are prefix scans.**  The decode and
-  commit ``_Bandwidth`` rings over a non-decreasing ready sequence
-  satisfy ``t[i] = max(t[i-1]+1, W*ready[i])`` with ``slot = t // W``
-  — an ``np.maximum.accumulate`` over the whole window.  Fetch between
-  stall/redirect boundaries is the closed form ``F + j // fetch_width``
-  per span, with spans segmented at the precomputed ``mis``/``ptaken``
-  /``ifill`` positions.
+On top of the passes' timing independence, one more structural fact
+makes the array passes exact rather than approximate: **the frontier
+allocators are prefix scans.**  The decode and commit ``_Bandwidth``
+rings over a non-decreasing ready sequence satisfy
+``t[i] = max(t[i-1]+1, W*ready[i])`` with ``slot = t // W`` — an
+``np.maximum.accumulate`` over the whole window.  Fetch between
+stall/redirect boundaries is the closed form ``F + j // fetch_width``
+per span, with spans segmented at the precomputed ``mis``/``ptk``
+/``ifill`` positions.
 
 What remains serial — redirect resume times feeding later spans'
 fetch, dataflow operand forwarding feeding issue — is solved by a
@@ -45,8 +30,8 @@ equivalence, not a heuristic.  Optimistic in-pass resume estimates
 usually tracks ``fetch + frontend_depth``) make real traces converge
 in 2-4 iterations.
 
-Windows the kernel does not finish are replayed by the loop kernel,
-which is itself pinned byte-identical to the golden model.  One place
+Windows the solver does not finish are replayed by the loop kernel,
+which reads the same event passes.  One place
 decides up front — *admission*, before any per-window pass runs:
 
 * ``dense``: more than :data:`MAX_CONTROL_SHARE` of the window's
@@ -65,23 +50,20 @@ Trap-emulated traces raise :class:`FastPathUnsupported`.
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
-try:  # Gated: the kernel degrades to the loop kernel without numpy.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+import numpy as _np
 
 from ..sim.trace_io import RecordedTrace, TraceColumns
 from .config import TimingConfig
 from .pipeline import TimingStats, _Bandwidth
 from . import fastpath as _fp
-from .fastpath import (  # noqa: F401 - _K_OTHER re-exported for tests
-    FastPathUnsupported, _word_tables,
-    _K_OTHER, _K_COND, _K_BRR, _K_BRRA, _K_JMP, _K_JAL, _K_JR,
-    _K_LOAD, _K_STORE,
+from .events import (  # noqa: F401 - VEC_CACHE_ENTRIES for tests
+    VEC_CACHE_ENTRIES, _branch_pass, _cache_pass, _memo, _np_tables,
+    _remember, _window_kc,
+    _K_COND, _K_BRR, _K_BRRA, _K_JR, _K_LOAD, _K_STORE,
 )
+from .fastpath import FastPathUnsupported
 
 #: Whole-window fixpoint iteration cap; windows that have not proven
 #: convergence by then delegate to the loop kernel.
@@ -110,10 +92,6 @@ MAX_INNER_ITERATIONS = 60
 #: records is also dense.
 MAX_CONTROL_SHARE = 1 / 8
 
-#: Bound of the per-trace memo dict (word tables, event passes,
-#: per-config prep bundles) hung off ``TraceColumns.vec_cache``.
-VEC_CACHE_ENTRIES = 10
-
 #: Iterations taken by the most recent converged replay (telemetry /
 #: test introspection only); 0 when the last call delegated.
 last_iterations = 0
@@ -134,50 +112,6 @@ class _Delegate(Exception):
     """Internal: this window must be replayed by the loop kernel."""
 
 
-def vector_kernel_available() -> bool:
-    """Whether the numpy dependency for the v2 kernel is importable."""
-    return _np is not None
-
-
-def _memo(cols: TraceColumns) -> Dict:
-    cache = cols.vec_cache
-    if cache is None:
-        cache = cols.vec_cache = {}
-    return cache
-
-
-def _remember(cache: Dict, key, entry):
-    """Insert into a per-trace memo, evicting the oldest entries so it
-    holds at most :data:`VEC_CACHE_ENTRIES` afterwards."""
-    while len(cache) >= VEC_CACHE_ENTRIES:
-        del cache[next(iter(cache))]
-    cache[key] = entry
-    return entry
-
-
-def _np_tables(cols: TraceColumns):
-    """Per-word-id metadata as numpy arrays (cached per trace)."""
-    cache = _memo(cols)
-    hit = cache.get("tables")
-    if hit is not None:
-        return hit
-    kclass, src1, src2, dest, lat, is_ret = _word_tables(cols.instrs)
-    return _remember(cache, "tables", (
-        _np.frombuffer(bytes(kclass), dtype=_np.uint8),
-        _np.asarray(src1, dtype=_np.int64),
-        _np.asarray(src2, dtype=_np.int64),
-        _np.asarray(dest, dtype=_np.int64),
-        _np.asarray(lat, dtype=_np.int64),
-        bytes(is_ret),
-    ))
-
-
-def _window_kc(cols: TraceColumns, lo: int, hi: int):
-    """Per-record kernel class of records ``lo .. hi-1``."""
-    wid_np = _np.frombuffer(cols.word_id, dtype=_np.int64)[lo:hi]
-    return _np_tables(cols)[0][wid_np]
-
-
 def _admit(kc, cfg: TimingConfig, cost_check: bool) -> str:
     """Admission: route a window before any per-window pass runs.
 
@@ -194,318 +128,6 @@ def _admit(kc, cfg: TimingConfig, cost_check: bool) -> str:
         if control > MAX_CONTROL_SHARE * kc.size:
             return "dense"
     return "admitted"
-
-
-# ----------------------------------------------------------------------
-# Event pre-passes.  Scalar, but over small record subsets, and memoised
-# per (window, relevant-config-projection) so a config sweep or a
-# repeated replay pays them once.
-
-
-def _cache_pass(cols: TraceColumns, lo: int, hi: int, kc, cfg: TimingConfig,
-                program, prewarm_code: bool):
-    """Exact cache-hierarchy sweep.
-
-    Returns ``(ifill, dlat, im_c, dm_c, l2_c)``: per-record fetch-fill
-    stall cycles, per-record load latencies, and cumulative
-    L1i/L1d/L2 miss counts — all int64 arrays over the replayed slice.
-    """
-    key = ("cache", lo, hi, cfg.line_bytes,
-           cfg.l1i_size, cfg.l1i_assoc, cfg.l1d_size, cfg.l1d_assoc,
-           cfg.l2_size, cfg.l2_assoc,
-           cfg.l1_latency, cfg.l2_latency, cfg.memory_latency,
-           bool(prewarm_code),
-           (program.base, program.end) if prewarm_code else None)
-    cache = _memo(cols)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-
-    m = hi - lo
-    line_bytes = cfg.line_bytes
-    l1_lat, l2_lat, mem_lat = cfg.l1_latency, cfg.l2_latency, \
-        cfg.memory_latency
-    i_nsets = cfg.l1i_size // (cfg.l1i_assoc * line_bytes)
-    d_nsets = cfg.l1d_size // (cfg.l1d_assoc * line_bytes)
-    l2_nsets = cfg.l2_size // (cfg.l2_assoc * line_bytes)
-    i_assoc, d_assoc, l2_assoc = cfg.l1i_assoc, cfg.l1d_assoc, cfg.l2_assoc
-    i_sets = [dict() for _ in range(i_nsets)]
-    d_sets = [dict() for _ in range(d_nsets)]
-    l2_sets = [dict() for _ in range(l2_nsets)]
-
-    if prewarm_code:
-        addr = program.base
-        end_addr = program.end
-        while addr < end_addr:
-            line = addr // line_bytes
-            s2 = l2_sets[line % l2_nsets]
-            if line in s2:
-                del s2[line]
-                s2[line] = True
-            else:
-                s2[line] = True
-                if len(s2) > l2_assoc:
-                    del s2[next(iter(s2))]
-            addr += line_bytes
-
-    pc_np = _np.frombuffer(cols.pc, dtype=_np.int64)[lo:hi]
-    linev = pc_np // line_bytes
-    lc = _np.empty(m, dtype=bool)
-    lc[0] = True  # last_line starts at -1: the first record looks up
-    _np.not_equal(linev[1:], linev[:-1], out=lc[1:])
-    is_mem = (kc == _K_LOAD) | (kc == _K_STORE)
-    ev = _np.flatnonzero(lc | is_mem)
-
-    ifill = array("q", bytes(8 * m))
-    dlat = array("q", bytes(8 * m))
-    im_d = bytearray(m)
-    dm_d = bytearray(m)
-    l2_d = bytearray(m)
-
-    pcs = cols.pc
-    mems = cols.mem_addr
-    lc_b = lc  # numpy bool; scalar reads below
-    is_load_code = _K_LOAD
-    kc_list = kc  # numpy; scalar reads
-    for e in ev.tolist():
-        if lc_b[e]:
-            line = pcs[lo + e] // line_bytes
-            s1 = i_sets[line % i_nsets]
-            if line in s1:
-                del s1[line]
-                s1[line] = True
-            else:
-                im_d[e] = 1
-                s2 = l2_sets[line % l2_nsets]
-                if line in s2:
-                    del s2[line]
-                    s2[line] = True
-                    fill = l2_lat
-                else:
-                    l2_d[e] += 1
-                    s2[line] = True
-                    if len(s2) > l2_assoc:
-                        del s2[next(iter(s2))]
-                    fill = l2_lat + mem_lat
-                s1[line] = True
-                if len(s1) > i_assoc:
-                    del s1[next(iter(s1))]
-                if fill > 0:
-                    ifill[e] = fill
-        kce = kc_list[e]
-        if kce == is_load_code or kce == _K_STORE:
-            line = mems[lo + e] // line_bytes
-            s1 = d_sets[line % d_nsets]
-            if line in s1:
-                del s1[line]
-                s1[line] = True
-                lat = l1_lat
-            else:
-                dm_d[e] = 1
-                s2 = l2_sets[line % l2_nsets]
-                if line in s2:
-                    del s2[line]
-                    s2[line] = True
-                    fill = l2_lat
-                else:
-                    l2_d[e] += 1
-                    s2[line] = True
-                    if len(s2) > l2_assoc:
-                        del s2[next(iter(s2))]
-                    fill = l2_lat + mem_lat
-                s1[line] = True
-                if len(s1) > d_assoc:
-                    del s1[next(iter(s1))]
-                lat = l1_lat + fill
-            if kce == is_load_code:
-                if lat < 1:
-                    lat = 1
-                dlat[e] = lat
-
-    return _remember(cache, key, (
-        _np.frombuffer(ifill, dtype=_np.int64),
-        _np.frombuffer(dlat, dtype=_np.int64),
-        _np.cumsum(_np.frombuffer(im_d, dtype=_np.uint8),
-                   dtype=_np.int64),
-        _np.cumsum(_np.frombuffer(dm_d, dtype=_np.uint8),
-                   dtype=_np.int64),
-        _np.cumsum(_np.frombuffer(l2_d, dtype=_np.uint8),
-                   dtype=_np.int64),
-    ))
-
-
-def _branch_pass(cols: TraceColumns, lo: int, hi: int, kc,
-                 cfg: TimingConfig):
-    """Exact predictor/BTB/RAS sweep over control-flow records.
-
-    Returns ``(mis, ptk, counters)`` where ``mis``/``ptk`` are
-    per-record uint8 arrays and ``counters`` is a dict of cumulative
-    int64 arrays (cond branches/mispredicts, brr resolved/taken,
-    front/back redirects, fetch breaks).
-    """
-    key = ("branch", lo, hi, cfg.gshare_history_bits, cfg.bimodal_entries,
-           cfg.chooser_entries, cfg.btb_entries, cfg.ras_entries,
-           cfg.brr_resolve_at_decode, cfg.brr_uses_predictor)
-    cache = _memo(cols)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-
-    m = hi - lo
-    is_ret = _np_tables(cols)[5]
-    ctl = _np.flatnonzero((kc >= _K_COND) & (kc <= _K_JR))
-
-    mis_b = bytearray(m)
-    ptk_b = bytearray(m)
-    cond_d = bytearray(m)
-    condmp_d = bytearray(m)
-    brrres_d = bytearray(m)
-    brrtk_d = bytearray(m)
-
-    brr_front = cfg.brr_resolve_at_decode
-    brr_predicted = cfg.brr_uses_predictor
-    h_mask = (1 << cfg.gshare_history_bits) - 1
-    g_tab = bytearray(b"\x01" * (1 << cfg.gshare_history_bits))
-    g_mask = h_mask
-    b_tab = bytearray(b"\x01" * cfg.bimodal_entries)
-    b_mask = cfg.bimodal_entries - 1
-    ch_tab = bytearray(b"\x01" * cfg.chooser_entries)
-    ch_mask = cfg.chooser_entries - 1
-    history = 0
-    btb_mask = cfg.btb_entries - 1
-    btb_tags = [-1] * cfg.btb_entries
-    btb_targets = [0] * cfg.btb_entries
-    ras_entries = cfg.ras_entries
-    ras_stack = [0] * ras_entries
-    ras_top = 0
-    ras_depth = 0
-
-    pcs, npcs, tks, wids = cols.pc, cols.next_pc, cols.taken, cols.word_id
-    kc_np = kc
-    for e in ctl.tolist():
-        idx = lo + e
-        pc = pcs[idx]
-        next_pc = npcs[idx]
-        tk = tks[idx]
-        kcv = kc_np[e]
-        mis = 0
-        ptaken = False
-        # -- verbatim transcription of the loop kernel's predict stage
-        if kcv == _K_COND or (brr_predicted and kcv == _K_BRR):
-            if kcv == _K_COND:
-                cond_d[e] = 1
-                resolve = 2
-            else:
-                brrres_d[e] = 1
-                if tk:
-                    brrtk_d[e] = 1
-                resolve = 1 if brr_front else 2
-            pc2 = pc >> 2
-            g_idx = (pc2 ^ history) & g_mask
-            g_ctr = g_tab[g_idx]
-            b_idx = pc2 & b_mask
-            b_ctr = b_tab[b_idx]
-            g_pred = g_ctr >= 2
-            b_pred = b_tab[b_idx] >= 2
-            bti = pc2 & btb_mask
-            if (g_pred if ch_tab[pc2 & ch_mask] >= 2 else b_pred):
-                ptaken = btb_tags[bti] == pc
-                if ptaken:
-                    correct = tk and btb_targets[bti] == next_pc
-                else:
-                    correct = not tk
-            else:
-                correct = not tk
-            if g_pred != b_pred:
-                ci = pc2 & ch_mask
-                c_ctr = ch_tab[ci]
-                if g_pred == bool(tk):
-                    if c_ctr < 3:
-                        ch_tab[ci] = c_ctr + 1
-                elif c_ctr > 0:
-                    ch_tab[ci] = c_ctr - 1
-            if tk:
-                if g_ctr < 3:
-                    g_tab[g_idx] = g_ctr + 1
-            elif g_ctr > 0:
-                g_tab[g_idx] = g_ctr - 1
-            history = ((history << 1) | (1 if tk else 0)) & h_mask
-            if tk:
-                if b_ctr < 3:
-                    b_tab[b_idx] = b_ctr + 1
-            elif b_ctr > 0:
-                b_tab[b_idx] = b_ctr - 1
-            if tk:
-                btb_tags[bti] = pc
-                btb_targets[bti] = next_pc
-            if not correct:
-                mis = resolve
-                if kcv == _K_COND:
-                    condmp_d[e] = 1
-        elif kcv == _K_BRR or kcv == _K_BRRA:
-            brrres_d[e] = 1
-            if tk:
-                brrtk_d[e] = 1
-            if brr_predicted:
-                # Only BRRA reaches here; BTB-only prediction.
-                bti = (pc >> 2) & btb_mask
-                ptaken = btb_tags[bti] == pc
-                if not ptaken:
-                    mis = 1 if brr_front else 2
-                btb_tags[bti] = pc
-                btb_targets[bti] = next_pc
-            elif tk:
-                mis = 1 if brr_front else 2
-        elif kcv == _K_JMP or kcv == _K_JAL:
-            bti = (pc >> 2) & btb_mask
-            ptaken = btb_tags[bti] == pc and btb_targets[bti] == next_pc
-            if not ptaken:
-                mis = 1
-            btb_tags[bti] = pc
-            btb_targets[bti] = next_pc
-            if kcv == _K_JAL:
-                ras_top = (ras_top + 1) % ras_entries
-                ras_stack[ras_top] = pc + 4
-                if ras_depth < ras_entries:
-                    ras_depth += 1
-        else:  # _K_JR
-            if is_ret[wids[idx]]:
-                if ras_depth == 0:
-                    matched = False
-                else:
-                    matched = ras_stack[ras_top] == next_pc
-                    ras_top = (ras_top - 1) % ras_entries
-                    ras_depth -= 1
-            else:
-                bti = (pc >> 2) & btb_mask
-                matched = (btb_tags[bti] == pc
-                           and btb_targets[bti] == next_pc)
-                btb_tags[bti] = pc
-                btb_targets[bti] = next_pc
-            if matched:
-                ptaken = True
-            else:
-                mis = 2
-        if mis:
-            mis_b[e] = mis
-        if ptaken:
-            ptk_b[e] = 1
-
-    mis_np = _np.frombuffer(bytes(mis_b), dtype=_np.uint8)
-    ptk_np = _np.frombuffer(bytes(ptk_b), dtype=_np.uint8)
-    csum = lambda b: _np.cumsum(_np.frombuffer(b, dtype=_np.uint8),
-                                dtype=_np.int64)
-    counters = {
-        "cond": csum(bytes(cond_d)),
-        "condmp": csum(bytes(condmp_d)),
-        "brrres": csum(bytes(brrres_d)),
-        "brrtk": csum(bytes(brrtk_d)),
-        "front": _np.cumsum(mis_np == 1, dtype=_np.int64),
-        "back": _np.cumsum(mis_np == 2, dtype=_np.int64),
-        "breaks": _np.cumsum((mis_np == 0) & (ptk_np != 0),
-                             dtype=_np.int64),
-    }
-    return _remember(cache, key, (mis_np, ptk_np, counters))
 
 
 # ----------------------------------------------------------------------
@@ -581,9 +203,9 @@ def _prep(cols: TraceColumns, lo: int, hi: int, kc, cfg: TimingConfig,
     wid_np = _np.frombuffer(cols.word_id, dtype=_np.int64)[lo:hi]
     src1w, src2w, destw, latw = _np_tables(cols)[1:5]
 
-    ifill, dlat, im_c, dm_c, l2_c = _cache_pass(
+    ifill, dlat, cache_counters = _cache_pass(
         cols, lo, hi, kc, cfg, program, prewarm_code)
-    mis, ptk, bcounters = _branch_pass(cols, lo, hi, kc, cfg)
+    mis, ptk, branch_counters = _branch_pass(cols, lo, hi, kc, cfg)
 
     ar = _np.arange(m, dtype=_np.int64)
     if cfg.brr_commits_at_decode:
@@ -641,9 +263,6 @@ def _prep(cols: TraceColumns, lo: int, hi: int, kc, cfg: TimingConfig,
     btype = _np.where(mis_prev > 0, mis_prev,
                       _np.where(ptk[prevrec] != 0, 3, 0))
 
-    loads_c = _np.cumsum(kc == _K_LOAD, dtype=_np.int64)
-    stores_c = _np.cumsum(kc == _K_STORE, dtype=_np.int64)
-
     return _remember(cache, key, {
         "m": m, "kc": kc, "cad": cad, "nc_idx": nc_idx,
         "ar": ar, "ar_nc": ar_nc, "lat_nc": lat_nc,
@@ -662,11 +281,7 @@ def _prep(cols: TraceColumns, lo: int, hi: int, kc, cfg: TimingConfig,
         "post_off_list": ((seg_len - 1) // cfg.fetch_width
                           + (seg_len % cfg.fetch_width == 0)).tolist(),
         "mis": mis, "ptk": ptk,
-        "counters": {
-            **bcounters,
-            "loads": loads_c, "stores": stores_c,
-            "imiss": im_c, "dmiss": dm_c, "l2miss": l2_c,
-        },
+        "counters": {**cache_counters, **branch_counters},
     })
 
 
@@ -683,12 +298,14 @@ def run_fastpath_vec(
 
     Same contract and snapshot-and-subtract schedule as
     :func:`repro.timing.fastpath.run_fastpath`; raises
-    :class:`FastPathUnsupported` when numpy is unavailable or the
-    trace is trap-emulated.  Windows that admission refuses, or that
-    fall outside the solver's convergence/exactness guarantees, are
-    transparently replayed by the loop kernel, so the result is always
-    byte-identical to the golden model.  :data:`last_kernel` and
-    :data:`last_route` report what happened.
+    :class:`FastPathUnsupported` when the trace is trap-emulated.
+    Windows that admission refuses, or that fall outside the solver's
+    convergence/exactness guarantees, are replayed by the loop kernel
+    (:func:`~repro.timing.fastpath.run_fastpath`, called through the
+    module attribute), which reuses admission's ``kc`` and the
+    memoised event passes, so the result is always byte-identical to
+    the golden model.  :data:`last_kernel` and :data:`last_route`
+    report what happened.
     """
     return _run(trace, i_skip, i_begin, i_end, config, program,
                 prewarm_code, cost_check=True)
@@ -707,8 +324,6 @@ def _run(trace: RecordedTrace, i_skip: int, i_begin: int, i_end: int,
     not a cost verdict.
     """
     global last_kernel, last_iterations, last_route
-    if _np is None:
-        raise FastPathUnsupported("numpy is unavailable")
     cfg = config or TimingConfig()
     cols = trace.columns()
     if cols.has_trapped:
@@ -722,9 +337,7 @@ def _run(trace: RecordedTrace, i_skip: int, i_begin: int, i_end: int,
     last_iterations = 0
     if m <= 0:
         last_kernel, last_route = "vector", "admitted"
-        stats = TimingStats()
-        tap = _fp._stats_tap
-        return tap(stats) if tap is not None else stats
+        return _fp._empty_stats()
 
     kc = _window_kc(cols, lo, hi)
     route = _admit(kc, cfg, cost_check)
@@ -746,10 +359,9 @@ def _run(trace: RecordedTrace, i_skip: int, i_begin: int, i_end: int,
         last_kernel = "loop"
         return _fp.run_fastpath(trace, i_skip, i_begin, i_end,
                                 config=cfg, program=program,
-                                prewarm_code=prewarm_code)
+                                prewarm_code=prewarm_code, kc=kc)
     last_kernel = "vector"
-    return _assemble_stats(p, cfg, fetch, decode, commit,
-                           lo, i_begin, m)
+    return _timed_stats(p, cfg, fetch, decode, commit, i_begin - lo)
 
 
 def _solve(p: Dict, cfg: TimingConfig):
@@ -888,80 +500,27 @@ def _solve(p: Dict, cfg: TimingConfig):
     raise _Delegate()
 
 
-def _assemble_stats(p: Dict, cfg: TimingConfig, fetch, decode, commit,
-                    lo: int, i_begin: int, m: int) -> TimingStats:
-    """Counter cumsums -> the golden snapshot-and-subtract schedule."""
-    c = p["counters"]
-    fd = cfg.frontend_depth
+def _timed_stats(p: Dict, cfg: TimingConfig, fetch, decode, commit,
+                 begin: int) -> TimingStats:
+    """A converged solve's cycle arrays -> the shared stats assembly.
+    Admission refuses shared-LFSR windows, so no brr packet splits."""
+    m = p["m"]
     cyc = _np.maximum.accumulate(commit) + 1
-
+    rob_stall = _np.zeros(m, dtype=_np.int64)
     rob_tgt, rob_src = p["rob_tgt"], p["rob_src"]
     if rob_tgt.size:
         dprev = _np.empty(m, dtype=_np.int64)
         dprev[0] = 0
         dprev[1:] = decode[:-1]
-        ready_pre = _np.maximum(fetch + fd, dprev)
+        ready_pre = _np.maximum(fetch + cfg.frontend_depth, dprev)
         stall = commit[rob_src] - ready_pre[rob_tgt]
         _np.maximum(stall, 0, out=stall)
-        stall_full = _np.zeros(m, dtype=_np.int64)
-        stall_full[rob_tgt] = stall
-        rob_c = _np.cumsum(stall_full)
-    else:
-        rob_c = None
+        rob_stall[rob_tgt] = stall
+    rob_c = _np.cumsum(rob_stall)
 
-    def at(pos: int) -> Tuple[int, ...]:
-        return (
-            pos + 1,                        # instructions
-            int(cyc[pos]),                  # cycles (final_commit + 1)
-            int(c["cond"][pos]), int(c["condmp"][pos]),
-            int(c["brrres"][pos]), int(c["brrtk"][pos]),
-            int(c["front"][pos]), int(c["back"][pos]),
-            0,                              # brr_packet_splits
-            int(c["breaks"][pos]),
-            int(rob_c[pos]) if rob_c is not None else 0,
-            int(c["loads"][pos]), int(c["stores"][pos]),
-            int(c["imiss"][pos]), int(c["dmiss"][pos]),
-            int(c["l2miss"][pos]),
-        )
+    def timed(pos: int):
+        return int(cyc[pos]), 0, int(rob_c[pos])
 
-    finals = at(m - 1)
-    baseline = at(i_begin - lo) if i_begin >= lo else (0,) * 16
-    diff = [f - b for f, b in zip(finals, baseline)]
-    stats = TimingStats(
-        instructions=diff[0], cycles=diff[1], cond_branches=diff[2],
-        cond_mispredicts=diff[3], brr_resolved=diff[4], brr_taken=diff[5],
-        frontend_redirects=diff[6], backend_redirects=diff[7],
-        brr_packet_splits=diff[8], fetch_breaks=diff[9],
-        rob_stall_cycles=diff[10], loads=diff[11], stores=diff[12],
-        icache_misses=diff[13], dcache_misses=diff[14], l2_misses=diff[15],
-    )
-    tap = _fp._stats_tap
-    return tap(stats) if tap is not None else stats
-
-
-# ----------------------------------------------------------------------
-# Multi-window batching.
-
-
-def run_fastpath_vec_batch(
-    trace: RecordedTrace,
-    windows: Sequence[Tuple[int, int, int, Optional[TimingConfig]]],
-    program=None,
-    prewarm_code: bool = True,
-) -> List[TimingStats]:
-    """Replay every ``(i_skip, i_begin, i_end, config)`` window of one
-    recorded trace in a single kernel invocation.
-
-    All configs share one columnar decode and one set of word tables,
-    and configs agreeing on cache geometry / predictor shape share the
-    event pre-passes through the per-trace memo — the batched form of
-    the sweep is what amortises the per-trace work the ISSUE's
-    record-once/replay-many architecture calls for.  Results are
-    byte-identical to sequential :func:`run_fastpath_vec` calls (pinned
-    by ``tests/test_fastpath_golden.py``).
-    """
-    return [
-        run_fastpath_vec(trace, i_skip, i_begin, i_end, config=config,
-                         program=program, prewarm_code=prewarm_code)
-        for (i_skip, i_begin, i_end, config) in windows
-    ]
+    return _fp._assemble_stats(p["counters"], begin, m - 1,
+                               timed(begin) if begin >= 0 else (0, 0, 0),
+                               timed(m - 1))

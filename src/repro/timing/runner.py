@@ -36,7 +36,6 @@ from .fastpath import (
     FastPathUnsupported,
     fastpath_mode,
     normalize_fast_mode,
-    run_fastpath,
 )
 from . import fastpath_vec
 from .pipeline import TimingSimulator, TimingStats
@@ -152,7 +151,6 @@ def time_window(
     max_steps: int = 50_000_000,
     setup=None,
     prewarm_code: bool = True,
-    trace: Optional[RecordedTrace] = None,
 ) -> WindowResult:
     """Time a marker-delimited window of a program.
 
@@ -162,16 +160,10 @@ def time_window(
     predictor warm-up); the returned stats cover ``begin``..``end``.
     ``setup(machine)`` runs before execution (e.g. data loading).
 
-    When a recorded ``trace`` of the same functional execution is
-    supplied, the window is replayed from it instead of lock-stepping
-    a fresh machine (see :func:`replay_window`); the result is
-    identical either way.
+    This lock-step loop is the reference that the tests and
+    ``repro.fuzz`` compare record/replay against; the engine always
+    records and replays (:func:`record_window`, :func:`replay_window`).
     """
-    if trace is not None:
-        return replay_window(
-            trace, begin, end, config=config, fast_forward=fast_forward,
-            program=program, prewarm_code=prewarm_code,
-        )
     machine = _machine_for(program, memory_size, brr_unit, setup)
     simulator = _simulator_for(config, program, prewarm_code)
     steps = 0
@@ -327,24 +319,17 @@ def _replay_resolved(
     if mode != "off":
         try:
             started = time.perf_counter()
-            if mode == "loop":
-                stats = run_fastpath(
+            if mode == "vector":
+                stats = fastpath_vec.run_fastpath_vec(
                     trace, i_skip, i_begin, i_end, config=config,
                     program=program, prewarm_code=prewarm_code,
                 )
-                kernel, route = "loop", None
-            else:
-                if mode == "vector":
-                    stats = fastpath_vec.run_fastpath_vec(
-                        trace, i_skip, i_begin, i_end, config=config,
-                        program=program, prewarm_code=prewarm_code,
-                    )
-                else:  # "solver": only _replay_solver/_replay_batch
-                    stats = fastpath_vec._run(
-                        trace, i_skip, i_begin, i_end, config, program,
-                        prewarm_code, cost_check=False)
-                kernel = fastpath_vec.last_kernel
-                route = fastpath_vec.last_route
+            else:  # "solver": only _replay_solver/_replay_batch
+                stats = fastpath_vec._run(
+                    trace, i_skip, i_begin, i_end, config, program,
+                    prewarm_code, cost_check=False)
+            kernel = fastpath_vec.last_kernel
+            route = fastpath_vec.last_route
             elapsed = time.perf_counter() - started
             stats, validation = _maybe_validate(
                 stats, trace, i_skip, i_begin, i_end, config,
@@ -384,9 +369,8 @@ def replay_window(
     ``fast`` selects the execution strategy: ``"vector"`` (the
     :mod:`~repro.timing.fastpath_vec` fixpoint kernel, which routes
     windows it does not admit or cannot solve exactly to the loop
-    kernel), ``"loop"`` (the per-record columnar kernel of
-    :mod:`~repro.timing.fastpath`), or ``"off"`` (the per-record
-    golden loop).  ``None`` (default) follows the active mode — the
+    kernel of :mod:`~repro.timing.fastpath`) or ``"off"`` (the
+    per-record golden loop).  ``None`` (default) follows the active mode — the
     engine's ``config.fast`` inside engine execution, else
     ``"vector"``.  Every strategy produces byte-identical stats.
     """

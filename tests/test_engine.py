@@ -377,7 +377,8 @@ def _mixed_records():
             records.append(window(
                 index, "miss", wall_s=0.25, worker=4002, cycles=7000,
                 instructions=5000, trace="off", functional_steps=5000,
-                timing_path="lockstep", attempts=1))
+                timing_path="fast", timing_kernel="vector",
+                timing_route="admitted", attempts=1))
         elif shape == 4:
             records.append(window(
                 index, "failed", attempts=4, error="RuntimeError('x')"))

@@ -3,7 +3,8 @@
 Admission runs before any per-window pass of
 :mod:`repro.timing.fastpath_vec`.  Dense control-flow windows (the
 Figure-13 microbenchmarks) and shared-LFSR brr windows go straight to
-the loop kernel; sparse ones (the Figure-12 JVM windows) are solved.
+the loop kernel, which replays on the memoised event passes alone;
+sparse ones (the Figure-12 JVM windows) are solved.
 Every route stays byte-identical to the golden model, and every
 route is reported — by the kernel, the replay telemetry, each
 window's ledger record and ``engine.summary()``.
@@ -50,7 +51,7 @@ def _replay(replay, materials, trace, config=None, **kwargs):
 
 
 def _memo_kinds(trace):
-    """First elements of the tuple keys in the trace's vector memo
+    """First elements of the tuple keys in the trace's per-trace memo
     (``"cache"``, ``"branch"``, ``"prep"``)."""
     return {key[0] for key in trace.columns().vec_cache or {}
             if isinstance(key, tuple)}
@@ -75,7 +76,28 @@ class TestAdmission:
         assert fastpath_vec.last_route == "dense"
         assert (info["timing_kernel"], info["timing_route"]) \
             == ("loop", "dense")
-        assert _memo_kinds(trace) == set()  # no prep, no event pass
+        # No prep bundle: the loop kernel runs on the event passes alone.
+        assert _memo_kinds(trace) == {"cache", "branch"}
+        assert solver_calls == []
+
+    def test_dense_replays_share_the_event_passes(self, microbench,
+                                                  solver_calls):
+        """Two configs with one cache geometry and predictor shape run
+        each event pass once between them."""
+        materials, trace = microbench
+        trace.columns().vec_cache = None
+        for config in (PAPER_CONFIG, PAPER_CONFIG.with_overrides(
+                rob_entries=16, issue_width=2)):
+            golden = _replay(replay_window, materials, trace, config=config,
+                             fast="off")
+            fast = _replay(replay_window, materials, trace, config=config,
+                           fast="vector")
+            assert fast.stats == golden.stats
+            assert (fastpath_vec.last_kernel, fastpath_vec.last_route) \
+                == ("loop", "dense")
+        keys = [key[0] for key in trace.columns().vec_cache
+                if isinstance(key, tuple)]
+        assert sorted(keys) == ["branch", "cache"]
         assert solver_calls == []
 
     def test_figure12_scorecard_window_is_solved(self, solver_calls):
@@ -102,7 +124,7 @@ class TestAdmission:
                        config=SHARED_LFSR_CONFIG)
         assert fast.stats == golden.stats
         assert fastpath_vec.last_route == "shared_lfsr"
-        assert _memo_kinds(trace) == set()
+        assert _memo_kinds(trace) == {"cache", "branch"}
         assert solver_calls == []
 
     def test_solver_entry_skips_the_cost_check(self, microbench,

@@ -21,8 +21,11 @@ from repro.core.brr import BranchOnRandomUnit
 from repro.core.lfsr import Lfsr
 from repro.isa.asm import assemble
 from repro.timing.config import NAIVE_BRR_CONFIG, PAPER_CONFIG, TimingConfig
+from repro.timing.fastpath import run_fastpath
 from repro.timing.runner import (
+    WindowResult,
     _replay_solver,
+    _resolve_window,
     record_window,
     replay_window,
     time_window,
@@ -152,16 +155,22 @@ def _brr_unit(seed: int) -> BranchOnRandomUnit:
                                    or 1))
 
 
-#: Both fast kernels answer to the same oracle.  The ``vector`` cases
-#: enter past admission's cost check, so these dense windows — which
-#: production routes straight to the loop kernel — reach the solver.
+#: Both fast kernels answer to the same oracle.  The ``loop`` cases
+#: call :func:`run_fastpath` directly; the ``vector`` cases enter past
+#: admission's cost check, so these dense windows — which production
+#: routes straight to the loop kernel — reach the solver.
 KERNELS = ("loop", "vector")
 
 
-def _replay(kernel, trace, **kwargs):
+def _replay(kernel, trace, begin, end, fast_forward=None, **kwargs):
     if kernel == "vector":
-        return _replay_solver(trace, **kwargs)
-    return replay_window(trace, fast=kernel, **kwargs)
+        return _replay_solver(trace, begin, end, fast_forward=fast_forward,
+                              **kwargs)
+    i_skip, i_begin, i_end = _resolve_window(trace, begin, end,
+                                             fast_forward)
+    return WindowResult(stats=run_fastpath(trace, i_skip, i_begin, i_end,
+                                           **kwargs),
+                        total_steps=i_end + 1)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -28,11 +28,14 @@ from repro.timing.config import TimingConfig
 from repro.timing.fastpath import (
     fastpath_mode,
     fastpath_override,
+    run_fastpath,
     set_fastpath_override,
 )
 from repro.timing.runner import (
+    WindowResult,
     _replay_batch,
     _replay_solver,
+    _resolve_window,
     consume_replay_info,
     record_window,
     replay_window,
@@ -42,16 +45,24 @@ from repro.timing.runner import (
 SCORECARD = scorecard_bench_specs()
 
 #: Both fast kernels must meet the same byte-identity contract.  The
-#: ``vector`` cases enter past admission's cost check, so the dense
-#: Figure-13 windows production routes to the loop kernel still reach
-#: the solver (which may then delegate outside its envelope).
+#: ``loop`` cases call :func:`run_fastpath` directly; the ``vector``
+#: cases enter past admission's cost check, so the dense Figure-13
+#: windows production routes to the loop kernel still reach the solver
+#: (which may then delegate outside its envelope).
 KERNELS = ("loop", "vector")
 
 
-def _replay(kernel, trace, *args, **kwargs):
+def _replay(kernel, trace, begin, end, config=None, fast_forward=None,
+            program=None, prewarm_code=True):
     if kernel == "vector":
-        return _replay_solver(trace, *args, **kwargs)
-    return replay_window(trace, *args, fast=kernel, **kwargs)
+        return _replay_solver(trace, begin, end, config=config,
+                              fast_forward=fast_forward, program=program,
+                              prewarm_code=prewarm_code)
+    i_skip, i_begin, i_end = _resolve_window(trace, begin, end,
+                                             fast_forward)
+    stats = run_fastpath(trace, i_skip, i_begin, i_end, config=config,
+                         program=program, prewarm_code=prewarm_code)
+    return WindowResult(stats=stats, total_steps=i_end + 1)
 
 
 def _record(spec):
@@ -67,28 +78,47 @@ def _config(spec):
     return None if config is None else TimingConfig.from_dict(config)
 
 
+#: Scorecard windows as graded, plus the two snapshot edge cases: a
+#: window that never steps (fast-forward, begin and end all at the end
+#: point) and a baseline at the fast-forward point (``i_begin ==
+#: i_skip``), whose stats keep the code pre-warm's L2 misses.  The
+#: latter is a Figure-12 window, which the solver admits.
+WINDOWS = [(spec, None) for spec in SCORECARD] + [
+    (SCORECARD[-1], "empty"), (SCORECARD[0], "ff-at-begin")]
+
+
 class TestScorecardEquivalence:
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("spec", SCORECARD,
-                             ids=[spec.label() for spec in SCORECARD])
-    def test_fastpath_byte_identical(self, spec, kernel, solver_calls):
+    @pytest.mark.parametrize(
+        "spec,edge", WINDOWS,
+        ids=[spec.label() + (f"-{edge}" if edge else "")
+             for spec, edge in WINDOWS])
+    def test_fastpath_byte_identical(self, spec, edge, kernel,
+                                     solver_calls):
         materials, trace = _record(spec)
-        golden = replay_window(trace, materials["begin"], materials["end"],
+        begin, fast_forward = materials["begin"], materials["fast_forward"]
+        if edge == "empty":
+            begin = fast_forward = materials["end"]
+        elif edge == "ff-at-begin":
+            fast_forward = begin
+        golden = replay_window(trace, begin, materials["end"],
                                config=_config(spec),
-                               fast_forward=materials["fast_forward"],
+                               fast_forward=fast_forward,
                                program=materials["program"], fast="off")
         assert consume_replay_info()["timing_path"] == "golden"
-        fast = _replay(kernel, trace, materials["begin"], materials["end"],
-                       config=_config(spec),
-                       fast_forward=materials["fast_forward"],
+        fast = _replay(kernel, trace, begin, materials["end"],
+                       config=_config(spec), fast_forward=fast_forward,
                        program=materials["program"])
         info = consume_replay_info()
-        assert info["timing_path"] == "fast"
-        assert info["replay_records_per_s"] > 0
+        if kernel == "vector":
+            assert info["timing_path"] == "fast"
+            assert edge == "empty" or info["replay_records_per_s"] > 0
         assert fast.stats == golden.stats
         assert fast.total_steps == golden.total_steps
-        # Every scorecard window reaches the solver on the vector case.
-        assert len(solver_calls) == (kernel == "vector")
+        if edge == "empty":
+            assert fast.stats.instructions == 0
+        # Every window that steps reaches the solver on the vector case.
+        assert len(solver_calls) == (kernel == "vector" and edge != "empty")
 
 
 class TestBatchedReplay:
@@ -110,13 +140,20 @@ class TestBatchedReplay:
                     "config": config,
                     "fast_forward": materials["fast_forward"]}
                    for config in self.CONFIGS]
-        batched = _replay_batch(trace, windows, materials["program"], True,
-                                "solver" if kernel == "vector" else kernel)
+        if kernel == "vector":
+            batched = _replay_batch(trace, windows, materials["program"],
+                                    True, "solver")
+            info = consume_replay_info()
+            assert info["batch_windows"] == len(self.CONFIGS)
+            assert info["timing_path"] == "fast"
+        else:
+            batched = [_replay(kernel, trace, window["begin"], window["end"],
+                               config=window["config"],
+                               fast_forward=window["fast_forward"],
+                               program=materials["program"])
+                       for window in windows]
         assert len(solver_calls) == (len(windows) if kernel == "vector"
                                      else 0)
-        info = consume_replay_info()
-        assert info["batch_windows"] == len(self.CONFIGS)
-        assert info["timing_path"] == "fast"
         for window, result in zip(windows, batched):
             golden = replay_window(trace, window["begin"], window["end"],
                                    config=window["config"],
@@ -151,24 +188,31 @@ class TestFastpathKnob:
         assert fastpath_mode() == "vector"
 
     @pytest.mark.parametrize("value,expected", [
-        ("vector", True), ("loop", True), ("off", False),
+        ("vector", True), ("off", False),
     ])
     def test_env_values(self, monkeypatch, value, expected):
         monkeypatch.setenv("REPRO_FAST", value)
         assert (EngineConfig.from_env().fast != "off") is expected
 
     @pytest.mark.parametrize("value,mode", [
-        ("vector", "vector"), ("loop", "loop"), ("off", "off"),
+        ("vector", "vector"), ("off", "off"),
     ])
     def test_env_selects_kernel_mode(self, monkeypatch, value, mode):
         monkeypatch.setenv("REPRO_FAST", value)
         assert EngineConfig.from_env().fast == mode
 
-    @pytest.mark.parametrize("value", ["0", "1", "false", "no", "true"])
+    @pytest.mark.parametrize("value",
+                             ["0", "1", "false", "no", "true", "loop"])
     def test_retired_boolean_spellings_rejected(self, monkeypatch, value):
+        """Retired spellings and the retired user-set ``loop`` mode are
+        refused, never mapped to another kernel."""
         monkeypatch.setenv("REPRO_FAST", value)
         with pytest.raises(ValueError, match="REPRO_FAST"):
             EngineConfig.from_env()
+
+    def test_retired_loop_mode_rejected_by_config(self):
+        with pytest.raises(ValueError, match="fast"):
+            EngineConfig(fast="loop")
 
     def test_bad_mode_name_rejected(self):
         from repro.timing.fastpath import normalize_fast_mode
@@ -194,8 +238,8 @@ class TestFastpathKnob:
         set_fastpath_override(None)
         with fastpath_override("off"):
             assert fastpath_mode() == "off"
-            with fastpath_override("loop"):
-                assert fastpath_mode() == "loop"
+            with fastpath_override("vector"):
+                assert fastpath_mode() == "vector"
             assert fastpath_mode() == "off"
         assert fastpath_mode() == "vector"
 

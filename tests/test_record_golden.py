@@ -25,7 +25,7 @@ from repro.jvm.benchmarks import FIGURE12_BENCHMARKS
 from repro.sim.machine import Machine, MachineError
 from repro.sim.trace_io import RecordedTrace, TraceWriter, record_trace
 from repro.sim.trap import BrrTrapEmulator
-from repro.timing.runner import record_window, time_window
+from repro.timing.runner import record_window, replay_window, time_window
 from repro.workloads.adversarial import END_MARKER, build_adversarial
 
 FIG12_SPECS = [jvm_window_spec(name, variant, scale=0.25)
@@ -492,5 +492,5 @@ class TestWordKeyedMemo:
         trace.adopt_columns(columns)
         lock_step = time_window(program, (1, 1), (2, 1),
                                 brr_unit=HardwareCounterUnit())
-        replayed = time_window(program, (1, 1), (2, 1), trace=trace)
+        replayed = replay_window(trace, (1, 1), (2, 1), program=program)
         assert replayed == lock_step

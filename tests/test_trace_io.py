@@ -317,7 +317,12 @@ class TestChunkAlignment:
 
     @pytest.mark.parametrize("kernel", ["loop", "vector"])
     def test_replay_stats_identical_across_chunk_sizes(self, kernel):
-        from repro.timing.runner import replay_window
+        from repro.timing.fastpath import run_fastpath
+        from repro.timing.runner import (
+            WindowResult,
+            _resolve_window,
+            replay_window,
+        )
 
         program = assemble(LOOP_WITH_MARKERS)
         records, _ = _run_records(LOOP_WITH_MARKERS)
@@ -326,8 +331,14 @@ class TestChunkAlignment:
         for chunk in self.CHUNKS:
             trace = RecordedTrace(encoded)
             trace.columns(chunk_records=chunk)  # decode at this size
-            result = replay_window(trace, begin=(1, 1), end=(2, 1),
-                                   program=program, fast=kernel)
+            if kernel == "loop":
+                window = _resolve_window(trace, (1, 1), (2, 1), None)
+                result = WindowResult(
+                    stats=run_fastpath(trace, *window, program=program),
+                    total_steps=window[2] + 1)
+            else:
+                result = replay_window(trace, begin=(1, 1), end=(2, 1),
+                                       program=program, fast=kernel)
             if reference is None:
                 reference = result
             else:

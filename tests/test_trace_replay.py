@@ -25,7 +25,7 @@ from repro.engine.tracestore import (
     consume_trace_info,
     functional_key,
 )
-from repro.engine.windows import run_window
+from repro.engine.windows import MATERIALS, run_window
 from repro.experiments.fig12 import jvm_window_spec
 from repro.experiments.fig13 import COMBOS, microbench_window_spec
 from repro.jvm.benchmarks import FIGURE12_BENCHMARKS
@@ -56,30 +56,51 @@ SCORECARD_WINDOWS = [
 ]
 
 
+def _lockstep(spec):
+    """The window's stats on the lock-step reference path: a fresh
+    machine driving the timing model, no trace at all."""
+    from repro.timing.config import TimingConfig
+    from repro.timing.runner import time_window
+
+    params = spec.params_dict()
+    materials = MATERIALS[spec.kind](params)
+    config = params.get("config")
+    return time_window(
+        materials["program"], materials["begin"], materials["end"],
+        brr_unit=materials["brr_unit"], setup=materials["setup"],
+        fast_forward=materials["fast_forward"],
+        config=None if config is None else TimingConfig.from_dict(config),
+    ).to_dict()
+
+
 class TestGoldenReplay:
     @pytest.mark.parametrize(
         "spec", SCORECARD_WINDOWS,
         ids=[spec.label() for spec in SCORECARD_WINDOWS])
     def test_replay_matches_lockstep(self, spec, tmp_path):
         store = TraceStore(tmp_path / "traces", enabled=True)
-        lockstep, off_info = _run(spec, None)
+        lockstep = _lockstep(spec)
+        storeless, off_info = _run(spec, None)
         recorded, miss_info = _run(spec, store)
         replayed, hit_info = _run(spec, store)
 
-        assert _canonical(recorded) == _canonical(lockstep)
-        assert _canonical(replayed) == _canonical(lockstep)
+        assert storeless["result"] == lockstep
+        assert _canonical(recorded) == _canonical(storeless)
+        assert _canonical(replayed) == _canonical(storeless)
 
         assert off_info["trace"] == "off"
         assert miss_info["trace"] == "miss"
         assert hit_info["trace"] == "hit"
-        # Lock-step pays the window's steps; recording pays the whole
-        # stream (entry to end marker); a warm replay pays nothing.
-        assert off_info["functional_steps"] \
-            == lockstep["result"]["total_steps"]
+        # Without a store the window is recorded in memory, so it pays
+        # the whole stream (entry to end marker) like a store miss; a
+        # warm replay pays nothing.
+        assert off_info["functional_steps"] == lockstep["total_steps"]
         assert miss_info["functional_steps"] \
-            >= off_info["functional_steps"]
+            == off_info["functional_steps"]
         assert hit_info["functional_steps"] == 0
         assert hit_info["trace_bytes"] == miss_info["trace_bytes"] > 0
+        assert off_info["trace_bytes"] is None
+        assert off_info["timing_path"] == miss_info["timing_path"]
 
 
 class TestTraceStore:
@@ -228,7 +249,7 @@ class TestSweepAccounting:
         on = timing_config_sweep(n_chars=300,
                                  engine=self._engine(tmp_path, "on"))
         assert on.configs == off.configs
-        # Lock-step pays the full bill per configuration.
+        # Without a store each configuration records its own stream.
         assert off.functional_steps == off.lockstep_steps
 
 
