@@ -64,7 +64,6 @@ from .tracestore import (
     TRACE_HANDLE_LIMIT,
     TRACE_STORE_VERSION,
     TraceStore,
-    active_store,
     default_trace_dir,
     functional_key,
     trace_enabled_by_env,
@@ -113,7 +112,6 @@ __all__ = [
     "TRACE_HANDLE_LIMIT",
     "TRACE_STORE_VERSION",
     "TraceStore",
-    "active_store",
     "default_trace_dir",
     "functional_key",
     "trace_enabled_by_env",

@@ -69,17 +69,20 @@ class WindowRecord:
     instructions: Optional[int]
     ts: float
     #: Trace-store usage for timed windows: "hit" (replayed a stored
-    #: functional stream), "miss" (recorded it), "off" (lock-step
-    #: fallback), or None (untimed window or result-cache hit).
+    #: functional stream), "miss" (recorded it into the store), "off"
+    #: (no enabled store: recorded in memory, then replayed), or None
+    #: (untimed window or result-cache hit).
     trace: Optional[str] = None
     #: Encoded size of the window's functional trace, where one exists.
     trace_bytes: Optional[int] = None
     #: Functional ``Machine.step()`` calls this window actually paid —
-    #: 0 on a trace hit, the full stream length on a miss or lock-step
-    #: run.  The record/replay speedup criterion is audited from this.
+    #: 0 when it replayed a trace it did not record (a store hit, or a
+    #: later window of its config group), the full stream length when
+    #: it recorded one ("miss" or "off").  The record/replay speedup
+    #: criterion is audited from this.
     functional_steps: Optional[int] = None
-    #: Which timing implementation ran the window: "fast" (batched
-    #: columnar kernel), "golden" (per-record replay loop), or None
+    #: Which timing implementation ran the window: "fast" (the
+    #: columnar replay kernels), "golden" (per-record replay loop), or None
     #: (untimed window or result-cache hit).
     timing_path: Optional[str] = None
     #: The kernel that actually replayed the window: "vector", "loop"

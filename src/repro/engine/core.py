@@ -66,8 +66,6 @@ from .integrity import ValidationSettings, validation_override
 from .spec import WindowSpec
 from .tracestore import (
     TraceStore,
-    active_store,
-    consume_trace_info,
     default_trace_dir,
     functional_key,
     trace_enabled_by_env,
@@ -213,10 +211,12 @@ class PlanRun:
         }
 
 
-def _execute(spec: WindowSpec) -> Dict[str, Any]:
+def _execute(spec: WindowSpec, store: TraceStore
+             ) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
+    """One window's ``(payload, trace_info)`` against ``store``."""
     from .windows import run_window
 
-    return run_window(spec.kind, spec.params_dict())
+    return run_window(spec.kind, spec.params_dict(), store)
 
 
 @dataclass(frozen=True)
@@ -250,10 +250,8 @@ def _pool_execute(item: Tuple[int, Dict[str, Any], _WorkerRun, int]):
                                 cfg.integrity)
     validation = ValidationSettings(every=cfg.validate_every,
                                     policy=cfg.validate_policy)
-    with fastpath_override(cfg.fast), active_store(store), \
-            validation_override(validation):
-        payload = _execute(spec)
-        trace_info = consume_trace_info()
+    with fastpath_override(cfg.fast), validation_override(validation):
+        payload, trace_info = _execute(spec, store)
     return (index, payload, time.perf_counter() - started, os.getpid(),
             trace_info)
 
@@ -457,53 +455,45 @@ class ExperimentEngine:
     # failure-policy semantics as the pool (timeouts excepted — a
     # window cannot be pre-empted from inside its own process).
     # Windows that share one functional trace and differ only in
-    # timing config are scheduled as one batched replay (see
-    # :func:`repro.engine.windows.run_window_group`); a batch failure
-    # of any kind falls back to the per-window path, which owns
-    # retries and the failure policy, and is counted in the run
-    # summary's ``group_fallbacks``.
+    # timing config run as one group (see
+    # :func:`repro.engine.windows.run_window_group`), which builds the
+    # workload and loads or records the trace once; a group failure of
+    # any kind falls back to the per-window path, which owns retries
+    # and the failure policy, and is counted in the run summary's
+    # ``group_fallbacks``.
 
     def _serial_schedule(self, specs: Sequence[WindowSpec],
                          misses: List[int]) -> List[List[int]]:
         """Group miss indices by functional key, in order of each
-        group's first appearance; non-batchable kinds stay singletons."""
-        from .windows import GROUP_REGISTRY
-
-        groups: Dict[Any, List[int]] = {}
-        order: List[Any] = []
+        group's first appearance.  Without an enabled trace store every
+        window records its own stream; under fault injection (keyed per
+        window/attempt) the schedule and injection points stay per
+        window.  Both keep every window a singleton."""
+        if not self.trace_store.enabled or self.config.fault_rate != 0:
+            return [[index] for index in misses]
+        groups: Dict[Tuple[str, str], List[int]] = {}
         for index in misses:
             spec = specs[index]
-            if spec.kind in GROUP_REGISTRY and self.config.fault_rate == 0:
-                key = (spec.kind, functional_key(spec.kind,
-                                                 spec.params_dict()))
-            else:
-                # Fault injection is keyed per window/attempt; keep its
-                # schedule (and the injection points) exactly as before.
-                key = ("solo", index)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(index)
-        return [groups[key] for key in order]
+            key = (spec.kind, functional_key(spec.kind, spec.params_dict()))
+            groups.setdefault(key, []).append(index)
+        return list(groups.values())
 
     def _run_serial_group(self, specs: Sequence[WindowSpec],
                           members: List[int],
                           results: List[Optional[Dict[str, Any]]]) -> bool:
-        """Try one batched replay for a functional-key group; True when
-        every member was completed (recorded + cached)."""
+        """Try one functional-key group; True when every member was
+        completed (recorded + cached)."""
         from .windows import run_window_group
 
         kind = specs[members[0]].kind
         started = time.perf_counter()
         try:
             batch = run_window_group(
-                kind, [specs[index].params_dict() for index in members])
+                kind, [specs[index].params_dict() for index in members],
+                self.trace_store)
         except Exception:
-            consume_trace_info()  # drop partial telemetry
             self.recorder.record_group_fallback()
             return False  # per-window path re-runs with full retry policy
-        if batch is None:
-            return False
         wall = (time.perf_counter() - started) / len(members)
         for index, (payload, trace_info) in zip(members, batch):
             results[index] = payload
@@ -516,7 +506,6 @@ class ExperimentEngine:
     def _run_serial(self, specs: Sequence[WindowSpec], misses: List[int],
                     results: List[Optional[Dict[str, Any]]]) -> None:
         with fastpath_override(self.config.fast), \
-                active_store(self.trace_store), \
                 validation_override(self._validation):
             for members in self._serial_schedule(specs, misses):
                 if len(members) > 1 and self._run_serial_group(
@@ -533,16 +522,14 @@ class ExperimentEngine:
             try:
                 maybe_inject(spec.cache_key, attempt,
                              self.config.fault_rate, in_worker=False)
-                payload = _execute(spec)
+                payload, trace_info = _execute(spec, self.trace_store)
             except Exception as exc:
-                consume_trace_info()  # drop partial telemetry
                 if self._on_failure(spec, attempt, exc) == "retry":
                     attempt += 1
                     continue
                 results[index] = self._skip(spec, attempt, exc)
                 break
             wall = time.perf_counter() - started
-            trace_info = consume_trace_info()
             results[index] = payload
             self.cache.put(spec, payload)
             self._record(spec, payload, cache="miss",

@@ -33,6 +33,8 @@ import hashlib
 import os
 import time
 
+from ..store.base import env_value, parse_float
+
 FAULT_MODES = ("exc", "kill", "hang")
 
 
@@ -49,10 +51,8 @@ def fault_mode_from_env() -> str:
 
 
 def fault_hang_seconds() -> float:
-    try:
-        return float(os.environ.get("REPRO_FAULT_HANG_S", "3600"))
-    except ValueError:
-        return 3600.0
+    """``REPRO_FAULT_HANG_S`` (default 3600); a malformed value raises."""
+    return env_value("REPRO_FAULT_HANG_S", parse_float, 3600.0)
 
 
 def should_inject(key: str, attempt: int, rate: float) -> bool:

@@ -84,11 +84,10 @@ class ValidationSettings:
         return bool(self.every)
 
 
-# The active watchdog travels as module state for the same reason the
-# trace store does (repro.engine.tracestore): replay happens deep
-# inside window runners, possibly in a pool worker, and threading a
-# parameter through every signature would couple the whole timing
-# layer to the engine.  The counter is per-process: with REPRO_VALIDATE=n
+# The active watchdog travels as module state: the sampling decision is
+# taken deep inside the timing layer's replay, possibly in a pool
+# worker, and threading a parameter through every replay signature
+# would couple the whole timing layer to the engine.  The counter is per-process: with REPRO_VALIDATE=n
 # each worker independently validates its own every n-th fast replay.
 _settings = ValidationSettings(every=None)
 _replay_counter = 0

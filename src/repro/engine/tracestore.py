@@ -30,12 +30,11 @@ failed verification becomes is the store's ``policy`` — ``verify``
 or ``trust`` (skip checksums; structurally broken entries are still
 dropped).  The root defaults to ``<result cache root>/traces``
 (override with ``REPRO_TRACE_DIR``); ``REPRO_TRACE=0`` disables the
-store, falling every window back to the lock-step reference path.
+store: every window then records its stream in memory and replays it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
@@ -230,53 +229,3 @@ class TraceStore:
         shutil.rmtree(self.root, ignore_errors=True)
         self._tiers.memory.clear()
         return removed
-
-
-# ----------------------------------------------------------------------
-# The active store.  Window runners execute deep inside the engine —
-# possibly in a pool worker process — so the store travels as module
-# state rather than threading through every runner signature.  The
-# engine installs its store around serial execution; a pool worker
-# installs the one it opened from the shipped (root, enabled) pair.
-
-_active_store: Optional[TraceStore] = None
-
-#: Out-of-band per-window telemetry: the most recent timed window's
-#: trace usage, consumed by the engine right after the runner returns.
-#: Deliberately *not* part of the payload, so cached results stay
-#: byte-identical regardless of trace hit/miss history.
-_last_trace_info: Optional[Dict[str, Any]] = None
-
-
-def get_active_store() -> Optional[TraceStore]:
-    return _active_store
-
-
-def set_active_store(store: Optional[TraceStore]) -> Optional[TraceStore]:
-    """Install ``store`` as the active one; returns the previous."""
-    global _active_store
-    previous = _active_store
-    _active_store = store
-    return previous
-
-
-@contextlib.contextmanager
-def active_store(store: Optional[TraceStore]):
-    previous = set_active_store(store)
-    try:
-        yield store
-    finally:
-        set_active_store(previous)
-
-
-def set_last_trace_info(info: Optional[Dict[str, Any]]) -> None:
-    global _last_trace_info
-    _last_trace_info = info
-
-
-def consume_trace_info() -> Optional[Dict[str, Any]]:
-    """Take (and clear) the last timed window's trace telemetry."""
-    global _last_trace_info
-    info = _last_trace_info
-    _last_trace_info = None
-    return info

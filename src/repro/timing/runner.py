@@ -419,7 +419,8 @@ def replay_window_batch(
     once instead of per window.  Results are byte-identical to calling
     :func:`replay_window` once per window; the batch form only changes
     the amortisation.  After the call, :func:`consume_replay_info`
-    reports the aggregate throughput of the whole batch.
+    reports the last window's path, kernel and route with the record
+    count and throughput of the whole batch.
     """
     return _replay_batch(trace, windows, program, prewarm_code,
                          _resolve_fast_mode(fast))
@@ -436,48 +437,22 @@ def _replay_batch(
     (``"solver"`` is the private entry of :func:`_replay_solver`)."""
     if prewarm_code and program is None:
         raise ValueError("prewarm_code requires the program image")
-    results: List[WindowResult] = []
-    total_records = 0
-    total_elapsed = 0.0
-    window_kernels: List[object] = []
-    window_routes: List[object] = []
-    info_fields: Dict[str, object] = {}
-    for window in windows:
-        begin = window["begin"]
-        end = window["end"]
-        config = window.get("config")
-        fast_forward = window.get("fast_forward")
-        started = time.perf_counter()
-        results.append(
-            _replay_resolved(trace,
-                             *_resolve_window(trace, begin, end,
-                                              fast_forward),
-                             config, program, prewarm_code, mode))
-        total_elapsed += time.perf_counter() - started
-        info = consume_replay_info() or {}
-        total_records += int(info.get("replay_records") or 0)
-        window_kernels.append(info.get("timing_kernel"))
-        window_routes.append(info.get("timing_route"))
-        for key, value in info.items():
-            if key.startswith("validation"):
-                info_fields[key] = value
-    kernels = {str(kernel) for kernel in window_kernels}
-    info_fields["timing_path"] = ("golden" if kernels == {"golden"}
-                                  else "fast")
-    info_fields["timing_kernel"] = ("+".join(sorted(kernels))
-                                    if len(kernels) > 1
-                                    else next(iter(kernels), "vector"))
-    info_fields["batch_windows"] = len(results)
-    # Per-member verdicts, so every window of a batch stays attributable.
-    info_fields["window_kernels"] = window_kernels
-    info_fields["window_routes"] = window_routes
     global _last_replay_info
-    _last_replay_info = {
-        **info_fields,
-        "replay_records": total_records,
-        "replay_records_per_s": (total_records / total_elapsed
-                                 if total_elapsed > 0 else None),
-    }
+    _last_replay_info = None  # an empty batch replays nothing
+    results: List[WindowResult] = []
+    records = 0
+    started = time.perf_counter()
+    for window in windows:
+        results.append(_replay_resolved(
+            trace, *_resolve_window(trace, window["begin"], window["end"],
+                                    window.get("fast_forward")),
+            window.get("config"), program, prewarm_code, mode))
+        records += _last_replay_info["replay_records"]
+    elapsed = time.perf_counter() - started
+    if _last_replay_info is not None:
+        _last_replay_info.update(
+            replay_records=records,
+            replay_records_per_s=records / elapsed if elapsed > 0 else None)
     return results
 
 

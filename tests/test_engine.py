@@ -253,11 +253,14 @@ class TestEngineExecution:
                     for p in grouped.run(specs)]
         assert grouped.summary()["group_fallbacks"] == 0
 
-        def broken_group(params_list):
-            raise RuntimeError("injected group failure")
+        runner = windows.REGISTRY["microbench"]
 
-        monkeypatch.setitem(windows.GROUP_REGISTRY, "microbench",
-                            broken_group)
+        def broken_group(params_list, store):
+            if len(params_list) > 1:
+                raise RuntimeError("injected group failure")
+            return runner(params_list, store)
+
+        monkeypatch.setitem(windows.REGISTRY, "microbench", broken_group)
         fallback = ExperimentEngine(config=EngineConfig(jobs=1),
                                     cache=ResultCache(tmp_path / "solo"))
         payloads = fallback.run(specs)
@@ -266,6 +269,87 @@ class TestEngineExecution:
         assert summary["group_fallbacks"] == 1
         assert summary["cache_misses"] == len(specs)
         assert summary["failures"] == 0
+
+
+def _config_specs():
+    """Three timing configs of one functional microbench window."""
+    from repro.experiments import microbench_window_spec
+
+    return [
+        microbench_window_spec(300, "full-dup", seed=0, kind="brr",
+                               interval=256, config=TimingConfig(**overrides))
+        for overrides in ({}, {"rob_entries": 16}, {"btb_entries": 256})
+    ]
+
+
+class TestOneWindowPath:
+    """A single window and a same-trace config group run one path."""
+
+    def test_storeless_group_equals_single_windows(self):
+        from repro.engine.windows import run_window, run_window_group
+
+        params = [spec.params_dict() for spec in _config_specs()[:2]]
+        group = run_window_group("microbench", params, None)
+        singles = [run_window("microbench", p, None) for p in params]
+        assert [json.dumps(payload, sort_keys=True) for payload, _ in group] \
+            == [json.dumps(payload, sort_keys=True)
+                for payload, _ in singles]
+        volatile = {"replay_records_per_s", "functional_steps"}
+        for (_, grouped), (_, single) in zip(group, singles):
+            assert grouped["trace"] == single["trace"] == "off"
+            assert {k: v for k, v in grouped.items() if k not in volatile} \
+                == {k: v for k, v in single.items() if k not in volatile}
+        # The group records its stream once; each single call records it.
+        assert [info["functional_steps"] for _, info in group] \
+            == [singles[0][1]["functional_steps"], 0]
+        assert singles[1][1]["functional_steps"] \
+            == singles[0][1]["functional_steps"] > 0
+
+    def test_grouped_ledger_equals_one_run_per_spec(self, tmp_path,
+                                                    monkeypatch):
+        from repro.engine import TraceStore, windows
+
+        runner = windows.REGISTRY["microbench"]
+        group_sizes = []
+
+        def counting(params_list, store):
+            group_sizes.append(len(params_list))
+            return runner(params_list, store)
+
+        monkeypatch.setitem(windows.REGISTRY, "microbench", counting)
+
+        def engine(name):
+            return ExperimentEngine(
+                config=EngineConfig(jobs=1),
+                cache=ResultCache(tmp_path / f"cache-{name}", enabled=False),
+                recorder=RunRecorder(tmp_path / f"{name}.jsonl"),
+                trace_store=TraceStore(tmp_path / f"traces-{name}",
+                                       enabled=True))
+
+        specs = _config_specs()
+        grouped_payloads = engine("grouped").run(specs)
+        assert group_sizes == [3]
+        solo = engine("solo")
+        solo_payloads = [solo.run([spec])[0] for spec in specs]
+        assert group_sizes == [3, 1, 1, 1]
+        assert json.dumps(grouped_payloads, sort_keys=True) \
+            == json.dumps(solo_payloads, sort_keys=True)
+
+        volatile = {"ts", "crc", "wall_s", "worker", "replay_records_per_s"}
+
+        def ledger(name):
+            return [{k: v for k, v in json.loads(line).items()
+                     if k not in volatile}
+                    for line in (tmp_path / f"{name}.jsonl").read_text()
+                    .splitlines()]
+
+        grouped, solo_lines = ledger("grouped"), ledger("solo")
+        assert grouped == solo_lines
+        assert [line["trace"] for line in grouped] == ["miss", "hit", "hit"]
+        for line in grouped:
+            assert {"trace", "functional_steps", "trace_bytes",
+                    "timing_path", "timing_kernel",
+                    "timing_route"} <= set(line)
 
 
 class TestRunArtifacts:

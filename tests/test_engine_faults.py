@@ -68,6 +68,19 @@ class TestInjectionDeterminism:
                     for k in keys)
         assert flips > 20
 
+    def test_malformed_hang_seconds_raise_without_sleeping(self,
+                                                           monkeypatch):
+        from repro.engine import faults
+
+        def no_sleep(seconds):
+            raise AssertionError(f"slept {seconds}s on a malformed value")
+
+        monkeypatch.setattr(faults.time, "sleep", no_sleep)
+        monkeypatch.setenv("REPRO_FAULT_MODE", "hang")
+        monkeypatch.setenv("REPRO_FAULT_HANG_S", "soon")
+        with pytest.raises(ValueError, match="REPRO_FAULT_HANG_S"):
+            faults.maybe_inject("abc", 0, 1.0)
+
 
 class TestSerialFaultRecovery:
     def test_retried_run_is_byte_identical(self, tmp_path):

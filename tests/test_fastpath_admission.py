@@ -167,9 +167,9 @@ class TestEngineAttribution:
         )
 
     def _specs(self):
-        # One functional key, two timing configs: the engine batches
-        # them into one group replay, so the per-member verdicts of
-        # replay_window_batch are what the ledger must carry.
+        # One functional key, two timing configs: the engine runs them
+        # as one group, and each member's own replay verdict is what
+        # the ledger must carry.
         return [microbench_window_spec(300, "full-dup", seed=0, kind="brr",
                                        interval=256, config=config)
                 for config in (PAPER_CONFIG, SHARED_LFSR_CONFIG)]

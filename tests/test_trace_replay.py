@@ -20,11 +20,7 @@ from repro.engine import (
     RunRecorder,
     TraceStore,
 )
-from repro.engine.tracestore import (
-    active_store,
-    consume_trace_info,
-    functional_key,
-)
+from repro.engine.tracestore import functional_key
 from repro.engine.windows import MATERIALS, run_window
 from repro.experiments.fig12 import jvm_window_spec
 from repro.experiments.fig13 import COMBOS, microbench_window_spec
@@ -36,10 +32,7 @@ def _canonical(payload):
 
 
 def _run(spec, store):
-    with active_store(store):
-        payload = run_window(spec.kind, spec.params_dict())
-        info = consume_trace_info()
-    return payload, info
+    return run_window(spec.kind, spec.params_dict(), store)
 
 
 #: Every timed window the scorecard grades: the 15 Figure 12 cells
