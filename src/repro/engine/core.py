@@ -370,7 +370,7 @@ class ExperimentEngine:
             cells, payloads = self._run_adaptive(population, plan, value)
         else:
             cells = (population.enumerate() if plan is None
-                     else plan.select(population))
+                     else population.selection(plan))
             payloads = self._run_cells(cells)
         result = PlanRun(population=population, plan=plan, cells=cells,
                          payloads=payloads)

@@ -43,6 +43,7 @@ from ..stats import (
     SamplingSummary,
     WindowPopulation,
     estimate_mean,
+    memoised,
 )
 from ..workloads.dacapo import DACAPO_BENCHMARKS, DacapoSpec, event_chunks
 
@@ -160,6 +161,7 @@ def run_accuracy(
     }
 
 
+@memoised
 def accuracy_population(
     interval: int,
     scale: float = 0.1,

@@ -35,7 +35,8 @@ Section 4 stream generators against their per-event references
 ``repro serve`` start and subprocess pays before any window runs: a
 fresh interpreter importing ``repro.api`` and building one
 :class:`~repro.engine.ExperimentEngine` with its stores.  The
-``served`` block times a warm served request in process.
+``served`` block times a warm served request in process and counts the
+window specs it builds.
 ``repro bench`` exits non-zero if any window's stats diverge.
 """
 
@@ -399,7 +400,10 @@ def bench_served(requests: int = 30, scale: int = 48) -> Dict[str, Any]:
     leaves allocated; Figure 9 stays out of that mean, so half of the
     measured requests are sampled ones.  A warm request simulates
     nothing: its cost is engine bookkeeping around memory-tier store
-    reads, the reducers and the response document.
+    reads, the reducers and the response document.  It builds no
+    window spec either, since its figure's population is memoised:
+    ``specs_built_per_warm_request`` counts the
+    :meth:`WindowSpec.make` calls of the timed requests.
     """
     import asyncio
     import gc
@@ -413,6 +417,14 @@ def bench_served(requests: int = 30, scale: int = 48) -> Dict[str, Any]:
                                                 "sample": "fraction:0.5"}),
              "figure9": ("figure9", {"scale": 0.002})}
     retained_forms = (forms["figure13"], forms["figure13_fraction"])
+    spec_make = WindowSpec.__dict__["make"]
+    built = 0
+
+    def counting_make(kind: str, /, **params: Any) -> WindowSpec:
+        nonlocal built
+        built += 1
+        return spec_make.__func__(WindowSpec, kind, **params)
+
     with tempfile.TemporaryDirectory() as root:
         service = SimulationService(engine=ExperimentEngine(
             config=EngineConfig(jobs=1),
@@ -428,9 +440,13 @@ def bench_served(requests: int = 30, scale: int = 48) -> Dict[str, Any]:
         try:
             for form in forms.values():
                 serve(form)  # cold: fills both stores
-            cpu_ms = {name: round(statistics.median(
-                          serve(form) for _ in range(requests)) * 1e3, 3)
-                      for name, form in forms.items()}
+            WindowSpec.make = staticmethod(counting_make)
+            try:
+                cpu_ms = {name: round(statistics.median(
+                              serve(form) for _ in range(requests)) * 1e3, 3)
+                          for name, form in forms.items()}
+            finally:
+                WindowSpec.make = spec_make
             gc.collect()
             tracemalloc.start()
             try:
@@ -449,6 +465,7 @@ def bench_served(requests: int = 30, scale: int = 48) -> Dict[str, Any]:
         "requests": requests,
         "scale": scale,
         "cpu_ms": cpu_ms,
+        "specs_built_per_warm_request": built / (requests * len(forms)),
         "retained_bytes_per_request": round(
             retained / (requests * len(retained_forms))),
     }
@@ -534,6 +551,7 @@ def format_bench(data: Dict[str, Any]) -> str:
         f"{served['requests']}): {served['cpu_ms']['figure13']:.3f} ms "
         f"CPU, fraction:0.5 {served['cpu_ms']['figure13_fraction']:.3f} "
         f"ms, Figure 9 {served['cpu_ms']['figure9']:.3f} ms; "
+        f"{served['specs_built_per_warm_request']:g} specs built and "
         f"{served['retained_bytes_per_request']} B retained per request")
     status = "all windows byte-identical" \
         if data["aggregate"]["identical"] else "DIVERGENCE DETECTED"

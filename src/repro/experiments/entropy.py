@@ -33,6 +33,7 @@ from ..stats import (
     SamplingSummary,
     WindowPopulation,
     estimate_mean,
+    memoised,
 )
 from ..timing.config import TimingConfig
 from ..timing.runner import WindowResult, overhead_percent
@@ -131,6 +132,7 @@ def _stratum(scheme: str, history_bits: int) -> str:
     return f"{scheme}/h{history_bits}"
 
 
+@memoised
 def entropy_population(
     iterations: int = 64,
     stride: int = 8,

@@ -30,6 +30,7 @@ from ..stats import (
     WindowPopulation,
     estimate_mean,
     matched_pair_estimate,
+    memoised,
 )
 from ..timing.config import TimingConfig
 from ..timing.runner import overhead_percent
@@ -75,6 +76,7 @@ def jvm_window_spec(
     )
 
 
+@memoised
 def fig12_population(
     scale: float = 3.0,
     interval: int = 1024,

@@ -38,6 +38,7 @@ from ..stats import (
     SamplingSummary,
     WindowPopulation,
     estimate_mean,
+    memoised,
 )
 from ..timing.config import TimingConfig
 from ..timing.runner import WindowResult, cycles_per_site, overhead_percent
@@ -147,6 +148,7 @@ def _curve(kind: str, duplication: str, with_payload: bool) -> str:
     return f"{kind}/{duplication}/{'inst' if with_payload else 'plain'}"
 
 
+@memoised
 def microbench_population(
     n_chars: int = 4000,
     intervals: Sequence[int] = INTERVALS,

@@ -24,11 +24,12 @@ from .estimators import (
     stratified_estimate,
 )
 from .plan import PLAN_MODES, SamplingPlan
-from .population import Cell, WindowPopulation
+from .population import Cell, WindowPopulation, memoised
 
 __all__ = [
     "Cell",
     "WindowPopulation",
+    "memoised",
     "PLAN_MODES",
     "SamplingPlan",
     "Estimate",

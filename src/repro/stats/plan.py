@@ -24,7 +24,9 @@ largest-remainder apportionment of the plan's target.  Mandatory cells
 stratum's quota.  Because the rank hashes stable cell ids — not
 enumeration indices or RNG state — two runs under the same plan select
 the identical subset, cache keys are unaffected, and ``repro resume``
-replays a sampled run exactly.
+replays a sampled run exactly.  The engine therefore asks for a static
+plan's selection through :meth:`WindowPopulation.selection`, which
+keeps it on the population instance.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ window of >16384 cycles.  The decode
 cache's word table shares its bound.  The DaCapo streams' weighted
 draw holds one slice of uniforms at a time, however many events it
 draws.  A served warm request leaves the engine's run recorder a few
-counters richer, not a record per window.
+counters richer, not a record per window, and adds no entry to the
+population memo.
 """
 
 import asyncio
@@ -27,6 +28,7 @@ from repro.isa.asm import assemble
 from repro.serve.service import SimulationService
 from repro.sim.machine import Machine
 from repro.sim.trap import BrrTrapEmulator
+from repro.stats import population
 from repro.timing.pipeline import TimingSimulator, _Bandwidth
 from repro.workloads.dacapo import (
     _DRAW_SLICE,
@@ -176,7 +178,8 @@ class TestServedRequestMemory:
         """A warm request leaves the engine a few counters richer: it
         keeps no record per window, and of the plan records only the
         last :data:`PLAN_HISTORY`, so 200 warm requests of this mix
-        retain under 2 KiB each."""
+        retain under 2 KiB each.  The populations they run are the
+        memoised ones of the warm pass: the memo gains no entry."""
         engine = ExperimentEngine(
             config=EngineConfig(jobs=1),
             cache=ResultCache(root=tmp_path / "results"),
@@ -192,6 +195,7 @@ class TestServedRequestMemory:
         try:
             serve(2 * len(SERVED_MIX))  # cold pass, then a warm one
             warm = engine.summary()
+            populations = len(population._memo)
             gc.collect()
             tracemalloc.start()
             try:
@@ -209,3 +213,4 @@ class TestServedRequestMemory:
         assert served > 200 * 20
         assert summary["cache_hits"] - warm["cache_hits"] == served
         assert retained / 200 < 2048, f"{retained / 200:.0f} B/request"
+        assert len(population._memo) == populations

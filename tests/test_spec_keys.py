@@ -13,6 +13,12 @@ unchanged, or every stored result and ledger would move.
 
 The specs are captured through the figures' own entry points: an
 engine whose ``run`` records the specs it is handed and stops.
+
+The figures' population builders are memoised: the tests at the end
+check that a memoised builder gives the unwrapped one's keys and
+labels, keeps apart arguments a digest keeps apart, still refuses what
+:meth:`WindowSpec.make` refuses, holds its bound, and that a warm pass
+of the benchmark's served mix builds no spec and selects no cell.
 """
 
 import hashlib
@@ -22,13 +28,26 @@ from enum import IntEnum
 import pytest
 
 from repro import api
-from repro.engine import SCHEMA_VERSION, ExperimentEngine, WindowSpec
+from repro.engine import (
+    SCHEMA_VERSION,
+    EngineConfig,
+    ExperimentEngine,
+    WindowSpec,
+)
 from repro.engine.cache import ResultCache
-from repro.engine.spec import KEY_MEMO_LIMIT
 from repro.engine.tracestore import TraceStore
+from repro.experiments.accuracy import accuracy_population
 from repro.experiments.bench_timing import scorecard_bench_specs
-from repro.experiments.entropy import adversarial_window_spec
+from repro.experiments.entropy import (
+    adversarial_window_spec,
+    entropy_population,
+)
+from repro.experiments.fig12 import fig12_population
+from repro.experiments.fig13 import microbench_population
 from repro.experiments.sensitivity import timing_config_sweep
+from repro.serve.service import SimulationService
+from repro.stats import SamplingPlan, population
+from repro.workloads.dacapo import DACAPO_BENCHMARKS
 
 
 class _Captured(Exception):
@@ -239,25 +258,14 @@ def test_key_and_label_are_stable_per_instance():
 
 
 # ----------------------------------------------------------------------
-# The process-wide digest memo: keyed by the exact canonical form, so
-# parameters that compare equal but hash to different keys never share
-# an entry.
+# Parameters that compare equal but hash to different keys: each spec
+# instance computes its own digest, so equal values never share one.
 
-#: Keys of values the memo must keep apart, beside ``EDGE_KEYS``.
+#: Keys of values that must stay apart, beside ``EDGE_KEYS``.
 MEMO_KEYS = {
     "one_str": "8cff51ee82cff69486724a951ea37cf2b7616d1c19563583558a7754fdb964dc",
     "pairs": "c3265d78584e4b20323e196c5df11edac033f3b6cd7f97e6e38d5746c1a54af9",
 }
-
-
-@pytest.fixture
-def key_memo(monkeypatch):
-    """An empty memo for one test."""
-    from repro.engine import spec as spec_module
-
-    memo = {}
-    monkeypatch.setattr(spec_module, "_key_memo", memo)
-    return memo
 
 
 _EQUAL_VALUES = {"one": 1, "true": True, "one_float": 1.0, "one_str": "1"}
@@ -268,18 +276,17 @@ _EQUAL_VALUES = {"one": 1, "true": True, "one_float": 1.0, "one_str": "1"}
     ("one_str", "one_float", "true", "one"),
     ("true", "one", "one_str", "one_float"),
 ])
-def test_memo_keeps_equal_values_apart(key_memo, order):
+def test_memo_keeps_equal_values_apart(order):
     pinned = dict(EDGE_KEYS, **MEMO_KEYS)
-    for _ in range(2):  # the second pass reads every key from the memo
+    for _ in range(2):
         keys = {name: WindowSpec.make("edge",
                                       interval=_EQUAL_VALUES[name]).cache_key
                 for name in order}
         assert keys == {name: pinned[name] for name in order}
     assert len(set(keys.values())) == 4
-    assert len(key_memo) == 4
 
 
-def test_memo_keeps_pinned_enum_and_pair_keys(key_memo):
+def test_memo_keeps_pinned_enum_and_pair_keys():
     for _ in range(2):
         assert WindowSpec.make("edge", interval=1).cache_key \
             == EDGE_KEYS["one"]
@@ -298,16 +305,180 @@ def _reference_key(kind, params):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def test_memo_past_its_bound_still_returns_correct_keys(key_memo):
-    total = KEY_MEMO_LIMIT + 300
-    params = [{"interval": index, "scale": index / 8}
-              for index in range(total)]
-    for _ in range(2):  # the second pass finds the first specs evicted
-        for index in (0, 1, 299, 300, total - 1):
-            spec = WindowSpec.make("edge", **params[index])
-            assert spec.cache_key == _reference_key("edge", params[index])
-        for entry in params:
-            WindowSpec.make("edge", **entry).cache_key
-        assert len(key_memo) == KEY_MEMO_LIMIT
+def test_memo_past_its_bound_still_returns_correct_keys():
+    for index in (0, 1, 299, 300, 2347):
+        params = {"interval": index, "scale": index / 8}
+        assert WindowSpec.make("edge", **params).cache_key \
+            == _reference_key("edge", params)
     assert WindowSpec.make("edge", interval=True).cache_key \
         == EDGE_KEYS["true"]
+
+
+# ----------------------------------------------------------------------
+# The population memo: a figure's builder returns the same population
+# for the same canonical arguments, with the keys and labels of the
+# unwrapped builder.
+
+#: Every memoised builder call a served figure makes, by name.
+SERVED_BUILDS = {
+    **{f"microbench/48/seed{seed}": (
+        microbench_population, {"n_chars": 48, "seed": seed})
+       for seed in (1, 7)},
+    **{f"figure12/{scale}/{interval}": (
+        fig12_population, {"scale": scale, "interval": interval})
+       for scale in (0.25, 0.5) for interval in (256, 1024)},
+    **{f"accuracy/{interval}/seed{seed}": (
+        accuracy_population, {"interval": interval, "scale": 0.002,
+                              "seeds": (seed,),
+                              "benchmarks": list(DACAPO_BENCHMARKS)})
+       for interval in (1 << 10, 1 << 13) for seed in (0, 1)},
+    "entropy/64/seed0": (entropy_population,
+                         {"iterations": 64, "stride": 8, "seed": 0}),
+}
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty population memo for one test."""
+    fresh = {}
+    monkeypatch.setattr(population, "_memo", fresh)
+    return fresh
+
+
+def _keys_and_labels(built):
+    specs = built.specs()
+    return ([spec.cache_key for spec in specs],
+            [spec.label() for spec in specs])
+
+
+@pytest.mark.parametrize("name", sorted(SERVED_BUILDS))
+def test_memoised_builder_matches_the_unwrapped_one(memo, name):
+    builder, arguments = SERVED_BUILDS[name]
+    reference = _keys_and_labels(builder.__wrapped__(**arguments))
+    first = builder(**arguments)
+    assert _keys_and_labels(first) == reference
+    again = builder(**arguments)
+    assert again is first
+    assert _keys_and_labels(again) == reference
+    assert len(memo) == 1
+
+
+def test_served_captures_reuse_the_spec_instances(memo, spy):
+    first = _served(spy)
+    second = _served(spy)
+    assert all(a is b for name in first
+               for a, b in zip(first[name], second[name]))
+    assert {name: _digests(specs) for name, specs in second.items()} \
+        == {name: POPULATIONS[name] for name in second}
+
+
+def test_memo_keeps_equal_arguments_apart(memo):
+    built = {}
+    for seed in (1, True, 1.0):
+        built[repr(seed)] = microbench_population(n_chars=12, intervals=(64,),
+                                                  seed=seed)
+    for density in (0.0, -0.0):
+        built[repr(density)] = entropy_population(densities=(density,),
+                                                  history_bits=(8,))
+    assert len(memo) == 5
+    keys = {name: _keys_and_labels(value)[0] for name, value in built.items()}
+    assert len({tuple(value) for value in keys.values()}) == 5
+    assert keys["1"] == _keys_and_labels(microbench_population.__wrapped__(
+        n_chars=12, intervals=(64,), seed=1))[0]
+
+
+class _Sly:
+    """Equal to ``1``, hashed and printed like it, but no JSON value:
+    :meth:`WindowSpec.make` refuses it."""
+
+    def __eq__(self, other):
+        return other == 1
+
+    def __hash__(self):
+        return hash(1)
+
+    def __repr__(self):
+        return "1"
+
+
+def test_memo_refused_value_raises_on_every_call(memo):
+    def refused():
+        for arguments in ({"seed": _Sly()}, {"intervals": [64, _Sly()]}):
+            for _ in range(2):
+                with pytest.raises(TypeError):
+                    microbench_population(n_chars=12, **arguments)
+
+    refused()
+    microbench_population(n_chars=12, intervals=[64, 1], seed=1)
+    assert len(memo) == 1  # an equal int now fills the entry
+    refused()
+    assert len(memo) == 1
+
+
+def test_memo_past_its_bound_keeps_its_bound(memo):
+    bound = population.POPULATION_MEMO_WINDOWS
+    size = microbench_population.__wrapped__(n_chars=1, intervals=()).n_windows
+    count = bound // size + 50
+    for n_chars in range(1, count + 1):
+        microbench_population(n_chars=n_chars, intervals=())
+    assert sum(entry.n_windows for entry in memo.values()) == bound
+    assert len(memo) == bound // size
+    for n_chars in (1, count):  # evicted, then held
+        assert _keys_and_labels(microbench_population(
+            n_chars=n_chars, intervals=())) == _keys_and_labels(
+            microbench_population.__wrapped__(n_chars=n_chars, intervals=()))
+    # A population past the bound is built afresh and never kept.
+    seeds = tuple(range(bound // 24 + 1))
+    held = dict(memo)
+    large = accuracy_population(1024, scale=0.002, seeds=seeds)
+    assert large.n_windows > bound
+    assert accuracy_population(1024, scale=0.002, seeds=seeds) is not large
+    assert memo == held
+
+
+#: The served mix of the repository benchmark (``perfbench``, variant 0).
+BENCHMARK_MIX = (
+    ("figure13", {"scale": 48, "seed": 1}),
+    ("figure14", {"scale": 48, "seed": 1}),
+    ("figure2", {"scale": 48, "seed": 1}),
+    ("figure13", {"scale": 48, "seed": 1, "sample": "fraction:0.5"}),
+    ("figure12", {"scale": 0.25, "interval": 1024, "sample": "budget:1"}),
+    ("figure9", {"scale": 0.002, "seed": 0}),
+    ("figure10", {"scale": 0.002, "seed": 0}),
+    ("cost", {}),
+)
+
+
+def test_warm_pass_builds_no_spec_and_selects_nothing(memo, tmp_path,
+                                                      monkeypatch):
+    engine = ExperimentEngine(
+        config=EngineConfig(jobs=1),
+        cache=ResultCache(root=tmp_path / "results"),
+        trace_store=TraceStore(tmp_path / "traces"))
+    service = SimulationService(engine=engine)
+
+    def serve_mix():
+        return [service._run_sync(command, dict(params)).data
+                for command, params in BENCHMARK_MIX]
+
+    cold = serve_mix()
+    calls = {"make": 0, "select": 0}
+    make, select = WindowSpec.make.__func__, SamplingPlan.select
+
+    def counting_make(cls, kind, /, **params):
+        calls["make"] += 1
+        return make(cls, kind, **params)
+
+    def counting_select(plan, built):
+        calls["select"] += plan.mode != "adaptive"
+        return select(plan, built)
+
+    monkeypatch.setattr(WindowSpec, "make", classmethod(counting_make))
+    monkeypatch.setattr(SamplingPlan, "select", counting_select)
+    before = engine.summary()
+    warm = serve_mix()
+    after = engine.summary()
+    assert calls == {"make": 0, "select": 0}
+    assert warm == cold
+    served = after["windows"] - before["windows"]
+    assert served > 0 and after["cache_hits"] - before["cache_hits"] == served

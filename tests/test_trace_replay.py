@@ -139,8 +139,8 @@ class TestTraceStore:
         spec = microbench_window_spec(300, "full-dup", seed=0, kind="cbs",
                                       interval=256)
         store = TraceStore(tmp_path, enabled=False)
-        reference, _ = _run(spec, None)
-        payload, info = _run(spec, None)
+        reference, _ = _run(spec, store)
+        payload, info = _run(spec, store)
         assert info["trace"] == "off"
         assert _canonical(payload) == _canonical(reference)
         assert not any(tmp_path.iterdir())
