@@ -51,12 +51,11 @@ from .integrity import (
     IntegrityError,
     LedgerReport,
     ValidationDivergence,
-    ValidationSettings,
+    ValidationWatchdog,
     format_doctor,
     quarantined_entries,
     run_doctor,
     scan_ledger,
-    validation_override,
 )
 from .spec import SCHEMA_VERSION, WindowSpec
 from .tracestore import (
@@ -90,13 +89,12 @@ __all__ = [
     "IntegrityError",
     "LedgerReport",
     "ValidationDivergence",
-    "ValidationSettings",
+    "ValidationWatchdog",
     "corrupt_file",
     "format_doctor",
     "quarantined_entries",
     "run_doctor",
     "scan_ledger",
-    "validation_override",
     "ExperimentEngine",
     "PlanRun",
     "WindowFailure",

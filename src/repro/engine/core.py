@@ -57,12 +57,11 @@ from typing import (
     Tuple,
 )
 
-from ..timing.fastpath import fastpath_override
 from .artifacts import RunRecorder, WindowRecord, completed_keys, read_run_log
 from .cache import ResultCache, cache_enabled_by_env
 from .config import EngineConfig
 from .faults import InjectedWorkerFault, maybe_inject
-from .integrity import ValidationSettings, validation_override
+from .integrity import ValidationWatchdog
 from .spec import WindowSpec
 from .tracestore import (
     TraceStore,
@@ -211,12 +210,15 @@ class PlanRun:
         }
 
 
-def _execute(spec: WindowSpec, store: TraceStore
+def _execute(spec: WindowSpec, store: TraceStore, fast: str,
+             watchdog: ValidationWatchdog
              ) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
-    """One window's ``(payload, trace_info)`` against ``store``."""
+    """One window's ``(payload, trace_info)`` against ``store``, its
+    replay run on kernel mode ``fast`` under ``watchdog``."""
     from .windows import run_window
 
-    return run_window(spec.kind, spec.params_dict(), store)
+    return run_window(spec.kind, spec.params_dict(), store, fast=fast,
+                      watchdog=watchdog)
 
 
 @dataclass(frozen=True)
@@ -239,6 +241,14 @@ def _worker_trace_store(root: str, enabled: bool,
     return TraceStore(root, enabled=enabled, policy=policy)
 
 
+@functools.lru_cache(maxsize=1)
+def _worker_watchdog(every: Optional[int],
+                     policy: str) -> ValidationWatchdog:
+    """A pool worker's validation watchdog, kept for the life of its
+    process, so its cadence counts every fast replay the worker runs."""
+    return ValidationWatchdog(every, policy)
+
+
 def _pool_execute(item: Tuple[int, Dict[str, Any], _WorkerRun, int]):
     """Top-level worker entry (must be picklable)."""
     index, spec_dict, run, attempt = item
@@ -248,10 +258,9 @@ def _pool_execute(item: Tuple[int, Dict[str, Any], _WorkerRun, int]):
     maybe_inject(spec.cache_key, attempt, cfg.fault_rate, in_worker=True)
     store = _worker_trace_store(run.trace_root, run.trace_enabled,
                                 cfg.integrity)
-    validation = ValidationSettings(every=cfg.validate_every,
-                                    policy=cfg.validate_policy)
-    with fastpath_override(cfg.fast), validation_override(validation):
-        payload, trace_info = _execute(spec, store)
+    payload, trace_info = _execute(
+        spec, store, cfg.fast,
+        _worker_watchdog(cfg.validate_every, cfg.validate_policy))
     return (index, payload, time.perf_counter() - started, os.getpid(),
             trace_info)
 
@@ -291,10 +300,6 @@ class ExperimentEngine:
                                      enabled=trace_enabled_by_env(),
                                      policy=config.integrity)
         self.trace_store = trace_store
-        #: Watchdog settings installed around execution (serial) or
-        #: shipped to each pool worker.
-        self._validation = ValidationSettings(every=config.validate_every,
-                                              policy=config.validate_policy)
         self.recorder = recorder or RunRecorder()
         self._executor_factory = executor_factory
         #: Keys completed by the run being resumed (empty otherwise).
@@ -480,7 +485,8 @@ class ExperimentEngine:
 
     def _run_serial_group(self, specs: Sequence[WindowSpec],
                           members: List[int],
-                          results: List[Optional[Dict[str, Any]]]) -> bool:
+                          results: List[Optional[Dict[str, Any]]],
+                          watchdog: ValidationWatchdog) -> bool:
         """Try one functional-key group; True when every member was
         completed (recorded + cached)."""
         from .windows import run_window_group
@@ -490,7 +496,7 @@ class ExperimentEngine:
         try:
             batch = run_window_group(
                 kind, [specs[index].params_dict() for index in members],
-                self.trace_store)
+                self.trace_store, fast=self.config.fast, watchdog=watchdog)
         except Exception:
             self.recorder.record_group_fallback()
             return False  # per-window path re-runs with full retry policy
@@ -505,24 +511,27 @@ class ExperimentEngine:
 
     def _run_serial(self, specs: Sequence[WindowSpec], misses: List[int],
                     results: List[Optional[Dict[str, Any]]]) -> None:
-        with fastpath_override(self.config.fast), \
-                validation_override(self._validation):
-            for members in self._serial_schedule(specs, misses):
-                if len(members) > 1 and self._run_serial_group(
-                        specs, members, results):
-                    continue
-                for index in members:
-                    self._run_serial_one(specs[index], index, results)
+        # One watchdog per run: its cadence counts this run's replays.
+        watchdog = ValidationWatchdog(self.config.validate_every,
+                                      self.config.validate_policy)
+        for members in self._serial_schedule(specs, misses):
+            if len(members) > 1 and self._run_serial_group(
+                    specs, members, results, watchdog):
+                continue
+            for index in members:
+                self._run_serial_one(specs[index], index, results, watchdog)
 
     def _run_serial_one(self, spec: WindowSpec, index: int,
-                        results: List[Optional[Dict[str, Any]]]) -> None:
+                        results: List[Optional[Dict[str, Any]]],
+                        watchdog: ValidationWatchdog) -> None:
         attempt = 0
         while True:
             started = time.perf_counter()
             try:
                 maybe_inject(spec.cache_key, attempt,
                              self.config.fault_rate, in_worker=False)
-                payload, trace_info = _execute(spec, self.trace_store)
+                payload, trace_info = _execute(spec, self.trace_store,
+                                               self.config.fast, watchdog)
             except Exception as exc:
                 if self._on_failure(spec, attempt, exc) == "retry":
                     attempt += 1

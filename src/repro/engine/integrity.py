@@ -20,9 +20,11 @@ policies and shared machinery that keep all four honest
   :attr:`~repro.engine.config.EngineConfig.validate_every` re-times
   every *n*-th fast-path replay with the golden lock-step model and
   compares the :class:`~repro.timing.pipeline.TimingStats` field by
-  field; :data:`VALIDATE_POLICIES` decides what a divergence becomes
-  (``warn`` — keep the fast stats and log, ``fallback`` — the default,
-  return the golden stats, ``raise`` — abort the run).
+  field (a :class:`ValidationWatchdog`, passed to every replay,
+  counts the replays); :data:`VALIDATE_POLICIES` decides what a
+  divergence becomes (``warn`` — keep the fast stats and log,
+  ``fallback`` — the default, return the golden stats, ``raise`` —
+  abort the run).
 
 The store-level primitives — policies, quarantine, payload digests,
 per-store counters — moved to :mod:`repro.store.integrity` with the
@@ -41,7 +43,7 @@ import json
 import os
 import pathlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..store.integrity import (  # noqa: F401 - re-exported surface
     INTEGRITY_POLICIES,
@@ -70,68 +72,57 @@ class ValidationDivergence(IntegrityError):
 # Fast-path validation watchdog.
 
 
-@dataclass(frozen=True)
-class ValidationSettings:
-    """Resolved watchdog configuration installed around execution."""
+class ValidationWatchdog:
+    """The validation watchdog of one engine run or one pool worker:
+    its settings plus the cadence counter.
 
-    #: Validate every n-th fast-path replay; ``None``/0 disables.
-    every: Optional[int] = None
-    #: One of :data:`VALIDATE_POLICIES`.
-    policy: str = "fallback"
+    It reaches :func:`~repro.timing.runner.replay_window` as an
+    argument.  The engine makes one per run; a pool worker keeps one
+    for the life of its process, so with ``every=n`` each worker
+    validates its own every n-th fast replay.
+    """
 
-    @property
-    def enabled(self) -> bool:
-        return bool(self.every)
+    def __init__(self, every: Optional[int] = None,
+                 policy: str = "fallback") -> None:
+        if policy not in VALIDATE_POLICIES:
+            raise ValueError(
+                f"validate policy must be one of {VALIDATE_POLICIES}, "
+                f"got {policy!r}")
+        #: Validate every n-th fast-path replay; ``None``/0 disables.
+        self.every = every
+        #: One of :data:`VALIDATE_POLICIES`.
+        self.policy = policy
+        #: Fast-path replays seen so far.
+        self.replays = 0
 
+    def take_ticket(self) -> bool:
+        """Count one fast-path replay; True when it is the every n-th
+        and must be cross-checked against the golden model."""
+        if not self.every:
+            return False
+        self.replays += 1
+        return self.replays % self.every == 0
 
-# The active watchdog travels as module state: the sampling decision is
-# taken deep inside the timing layer's replay, possibly in a pool
-# worker, and threading a parameter through every replay signature
-# would couple the whole timing layer to the engine.  The counter is per-process: with REPRO_VALIDATE=n
-# each worker independently validates its own every n-th fast replay.
-_settings = ValidationSettings(every=None)
-_replay_counter = 0
-
-
-def get_validation_settings() -> ValidationSettings:
-    return _settings
-
-
-def set_validation_settings(
-        settings: Optional[ValidationSettings]) -> ValidationSettings:
-    """Install watchdog settings; returns the previous ones.  ``None``
-    installs the library default (watchdog off)."""
-    global _settings, _replay_counter
-    previous = _settings
-    if settings is None:
-        settings = ValidationSettings()
-    if settings.policy not in VALIDATE_POLICIES:
-        raise ValueError(
-            f"validate policy must be one of {VALIDATE_POLICIES}, "
-            f"got {settings.policy!r}")
-    _settings = settings
-    _replay_counter = 0
-    return previous
-
-
-@contextlib.contextmanager
-def validation_override(
-        settings: Optional[ValidationSettings]) -> Iterator[None]:
-    previous = set_validation_settings(settings)
-    try:
-        yield
-    finally:
-        set_validation_settings(previous)
-
-
-def take_validation_ticket() -> bool:
-    """True when the current fast-path replay should be cross-checked
-    against the golden model (every n-th one, counted per process)."""
-    global _replay_counter
-    if not _settings.enabled:
-        return False
-    _replay_counter += 1
-    return _replay_counter % _settings.every == 0  # type: ignore[operator]
+    def judge(self, fast: Any, golden: Any
+              ) -> Tuple[Any, Dict[str, Any]]:
+        """The stats to report for a sampled replay — the fast ones, or
+        the golden ones under ``fallback`` on divergence — plus its
+        validation telemetry.  Raises :class:`ValidationDivergence`
+        on divergence under ``raise``."""
+        mismatches = compare_stats(fast, golden)
+        if not mismatches:
+            return fast, {"validation": "pass"}
+        detail = {"validation": "divergence",
+                  "validation_policy": self.policy,
+                  "validation_mismatches": mismatches}
+        if self.policy == "raise":
+            raise ValidationDivergence(
+                f"fast-path replay diverged from golden model on "
+                f"{len(mismatches)} field(s): "
+                + ", ".join(m["field"] for m in mismatches))
+        if self.policy == "fallback":
+            return golden, detail
+        return fast, detail  # "warn": keep the fast stats, report it
 
 
 def compare_stats(fast: Any, golden: Any) -> List[Dict[str, Any]]:

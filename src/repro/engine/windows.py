@@ -28,6 +28,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:
+    from .integrity import ValidationWatchdog
     from .tracestore import TraceStore
 
 #: One executed window: its JSON-able payload plus the out-of-band
@@ -37,10 +38,11 @@ if TYPE_CHECKING:
 Outcome = Tuple[Dict[str, Any], Optional[Dict[str, Any]]]
 
 #: A runner takes one or more windows that share a functional key plus
-#: the trace store (``None`` or disabled: record in memory) and returns
-#: one :data:`Outcome` per window, in order.
-Runner = Callable[[Sequence[Dict[str, Any]], Optional["TraceStore"]],
-                  List[Outcome]]
+#: the trace store (``None`` or disabled: record in memory) and the
+#: replay options ``fast`` and ``watchdog`` as keywords (see
+#: :func:`~repro.timing.runner.replay_window`), and returns one
+#: :data:`Outcome` per window, in order.
+Runner = Callable[..., List[Outcome]]
 
 
 def _runner(kind: str) -> Runner:
@@ -51,17 +53,22 @@ def _runner(kind: str) -> Runner:
 
 
 def run_window(kind: str, params: Dict[str, Any],
-               store: Optional[TraceStore]) -> Outcome:
-    """Execute one window against ``store``."""
-    return _runner(kind)([params], store)[0]
+               store: Optional[TraceStore], fast: Optional[str] = None,
+               watchdog: Optional[ValidationWatchdog] = None) -> Outcome:
+    """Execute one window against ``store``; ``fast`` and ``watchdog``
+    reach its replay."""
+    return _runner(kind)([params], store, fast=fast, watchdog=watchdog)[0]
 
 
 def run_window_group(kind: str, params_list: Sequence[Dict[str, Any]],
-                     store: Optional[TraceStore]) -> List[Outcome]:
+                     store: Optional[TraceStore],
+                     fast: Optional[str] = None,
+                     watchdog: Optional[ValidationWatchdog] = None
+                     ) -> List[Outcome]:
     """Execute windows that share one functional key (they differ only
     in timing config) against ``store``: the materials are built and
     the trace is loaded or recorded once for the whole group."""
-    return _runner(kind)(params_list, store)
+    return _runner(kind)(params_list, store, fast=fast, watchdog=watchdog)
 
 
 def _tuple_or_none(value):
@@ -76,7 +83,9 @@ def _config_from(params: Dict[str, Any]):
 
 
 def _timed_windows(kind: str, params_list: Sequence[Dict[str, Any]],
-                   store: Optional[TraceStore]) -> List[Outcome]:
+                   store: Optional[TraceStore], fast: Optional[str] = None,
+                   watchdog: Optional[ValidationWatchdog] = None
+                   ) -> List[Outcome]:
     """Execute timing windows of one functional stream, record-once /
     replay-many.
 
@@ -89,11 +98,7 @@ def _timed_windows(kind: str, params_list: Sequence[Dict[str, Any]],
     and replayed the same way.  Each window replays on its own, so its
     telemetry names its own kernel, route and throughput.
     """
-    from ..timing.runner import (
-        consume_replay_info,
-        record_window,
-        replay_window,
-    )
+    from ..timing.runner import record_window, replay_window
     from .tracestore import functional_key
 
     materials = MATERIALS[kind](params_list[0])
@@ -120,21 +125,10 @@ def _timed_windows(kind: str, params_list: Sequence[Dict[str, Any]],
         result = replay_window(trace, materials["begin"], materials["end"],
                                config=_config_from(params),
                                fast_forward=materials["fast_forward"],
-                               program=program)
-        replay_info = consume_replay_info() or {}
-        info = {
-            "trace": usage,
-            "trace_bytes": trace_bytes,
-            "functional_steps": functional_steps,
-            "timing_path": replay_info.get("timing_path"),
-            "timing_kernel": replay_info.get("timing_kernel"),
-            "timing_route": replay_info.get("timing_route"),
-            "replay_records_per_s": replay_info.get("replay_records_per_s"),
-        }
-        for field in ("validation", "validation_policy",
-                      "validation_mismatches"):
-            if field in replay_info:
-                info[field] = replay_info[field]
+                               program=program, fast=fast,
+                               watchdog=watchdog)
+        info = {"trace": usage, "trace_bytes": trace_bytes,
+                "functional_steps": functional_steps, **result.telemetry}
         payload = {"result": result.to_dict(), **materials["extra"],
                    "cycles": result.cycles,
                    "instructions": result.instructions}
@@ -146,9 +140,10 @@ def _timed_windows(kind: str, params_list: Sequence[Dict[str, Any]],
 
 
 def _accuracy_windows(params_list: Sequence[Dict[str, Any]],
-                      store: Optional[TraceStore]) -> List[Outcome]:
+                      store: Optional[TraceStore],
+                      **_replay_options: Any) -> List[Outcome]:
     """Profiling-accuracy cells, one at a time (untimed: no trace, no
-    telemetry)."""
+    replay, no telemetry)."""
     return [(_accuracy_payload(params), None) for params in params_list]
 
 

@@ -97,7 +97,6 @@ def _kernel_row(records: int, golden_s: float, seconds: float,
 def _bench_window(spec: WindowSpec) -> Dict[str, Any]:
     """Record one window, replay it on every kernel, compare and time."""
     from ..sim.trace_io import RecordedTrace
-    from ..timing import fastpath_vec
     from ..timing.fastpath import run_fastpath
     from ..timing.runner import (
         WindowResult,
@@ -156,8 +155,8 @@ def _bench_window(spec: WindowSpec) -> Dict[str, Any]:
         if not repeat:
             trace.columns().vec_cache = None
         result, seconds = replay(mode)
-        executed = (fastpath_vec.last_kernel or "loop") \
-            if mode == "vector" else "loop"
+        executed = (result.telemetry["timing_kernel"] if mode == "vector"
+                    else "loop")
         kernels[name] = _kernel_row(
             records, golden_s, seconds, executed,
             result.stats == golden.stats

@@ -3,11 +3,7 @@
 from .caches import Cache, Hierarchy
 from .config import NAIVE_BRR_CONFIG, PAPER_CONFIG, TimingConfig
 from .cosim import CoSimulator, CosimDivergence, ReplayUnit
-from .fastpath import (
-    FastPathUnsupported,
-    fastpath_override,
-    run_fastpath,
-)
+from .fastpath import FastPathUnsupported, run_fastpath
 from .pipeline import TimingSimulator, TimingStats
 from .report import compare, format_stats
 from .predictors import (
@@ -35,7 +31,6 @@ __all__ = [
     "CosimDivergence",
     "ReplayUnit",
     "FastPathUnsupported",
-    "fastpath_override",
     "run_fastpath",
     "compare",
     "format_stats",

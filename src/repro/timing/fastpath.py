@@ -30,14 +30,13 @@ Both build their stats with :func:`_assemble_stats`.  The contract is
 Trap-emulated records raise :class:`FastPathUnsupported` and the
 caller falls back to the golden loop.
 
-``EngineConfig(fast="off")`` (``REPRO_FAST=off``) opts out globally:
-the engine installs its kernel mode in-process and ships it to its
-pool workers; see ``docs/performance.md``.
+``EngineConfig(fast="off")`` (``REPRO_FAST=off``) opts out: the
+engine passes its kernel mode to every replay as an argument; see
+``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import contextlib
 from collections import deque
 from typing import Dict, Optional, Tuple
 
@@ -66,8 +65,6 @@ class FastPathUnsupported(Exception):
 
 FAST_MODES = ("vector", "off")
 
-_override: Optional[str] = None
-
 
 def normalize_fast_mode(value: Optional[str]) -> Optional[str]:
     """``value`` itself when it is a mode name or ``None``; raises
@@ -76,50 +73,6 @@ def normalize_fast_mode(value: Optional[str]) -> Optional[str]:
         return value
     raise ValueError(
         f"bad fast-path mode {value!r} (expected one of {FAST_MODES})")
-
-
-def fastpath_mode() -> str:
-    """The active kernel selection: the installed override (the engine
-    installs its ``config.fast`` around execution, in-process and in
-    every pool worker), else the library default ``vector``."""
-    return _override or "vector"
-
-
-def set_fastpath_override(value: Optional[str]) -> Optional[str]:
-    """Force a fast-path mode (``None`` restores the library default);
-    returns the previous override."""
-    global _override
-    previous = _override
-    _override = normalize_fast_mode(value)
-    return previous
-
-
-@contextlib.contextmanager
-def fastpath_override(value):
-    previous = set_fastpath_override(value)
-    try:
-        yield
-    finally:
-        set_fastpath_override(previous)
-
-
-# Test seam for the validation watchdog: when set, the tap transforms
-# the kernel's result before it is returned, simulating a buggy fast
-# path without touching the kernel itself.  Production leaves it None.
-_stats_tap = None
-
-
-@contextlib.contextmanager
-def stats_tap(tap):
-    """Install a ``TimingStats -> TimingStats`` transform on the fast
-    path's output for the duration of the block (tests only)."""
-    global _stats_tap
-    previous = _stats_tap
-    _stats_tap = tap
-    try:
-        yield
-    finally:
-        _stats_tap = previous
 
 
 # ----------------------------------------------------------------------
@@ -151,14 +104,7 @@ def _assemble_stats(counters: Dict, begin: int, end: int,
             fields[name] -= value
         for name, cumulative in counters.items():
             fields[name] -= int(cumulative[begin])
-    stats = TimingStats(**fields)
-    return _stats_tap(stats) if _stats_tap is not None else stats
-
-
-def _empty_stats() -> TimingStats:
-    """A window that never steps: the golden model publishes nothing."""
-    stats = TimingStats()
-    return _stats_tap(stats) if _stats_tap is not None else stats
+    return TimingStats(**fields)
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +140,7 @@ def run_fastpath(
     lo = i_skip + 1
     hi = i_end + 1
     if hi <= lo:
-        return _empty_stats()
+        return TimingStats()  # never steps: the golden model reports 0
     if kc is None:
         kc = _window_kc(cols, lo, hi)
     ifill, dlat, cache_counters = _cache_pass(cols, lo, hi, kc, cfg,

@@ -50,7 +50,7 @@ Trap-emulated traces raise :class:`FastPathUnsupported`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as _np
 
@@ -92,20 +92,11 @@ MAX_INNER_ITERATIONS = 60
 #: records is also dense.
 MAX_CONTROL_SHARE = 1 / 8
 
-#: Iterations taken by the most recent converged replay (telemetry /
-#: test introspection only); 0 when the last call delegated.
-last_iterations = 0
-
-#: How the most recent :func:`run_fastpath_vec` call actually replayed
-#: the window: ``"vector"`` (converged fixpoint) or ``"loop"`` (the
-#: loop kernel ran; :data:`last_route` says why).
+#: Write-only mirror of the kernel the most recent
+#: :func:`run_fastpath_vec` call ran (``"vector"`` or ``"loop"``), kept
+#: for the benchmark's span tracer (``perfbench/tracer.py``).  Nothing
+#: in ``repro`` reads it: the call returns its kernel and route.
 last_kernel: Optional[str] = None
-
-#: Why the most recent call replayed the way it did: ``"admitted"``
-#: (the vector kernel finished), ``"dense"`` or ``"shared_lfsr"``
-#: (refused by admission) or ``"envelope"`` (admitted, then delegated
-#: by :func:`_solve`).
-last_route: Optional[str] = None
 
 
 class _Delegate(Exception):
@@ -293,8 +284,9 @@ def run_fastpath_vec(
     config: Optional[TimingConfig] = None,
     program=None,
     prewarm_code: bool = True,
-) -> TimingStats:
-    """Replay records ``i_skip+1 .. i_end`` with the vectorized kernel.
+) -> Tuple[TimingStats, str, str]:
+    """Replay records ``i_skip+1 .. i_end`` with the vectorized kernel;
+    returns ``(stats, kernel, route)``.
 
     Same contract and snapshot-and-subtract schedule as
     :func:`repro.timing.fastpath.run_fastpath`; raises
@@ -304,16 +296,21 @@ def run_fastpath_vec(
     (:func:`~repro.timing.fastpath.run_fastpath`, called through the
     module attribute), which reuses admission's ``kc`` and the
     memoised event passes, so the result is always byte-identical to
-    the golden model.  :data:`last_kernel` and :data:`last_route`
-    report what happened.
+    the golden model.  ``kernel`` says which kernel ran (``"vector"``
+    or ``"loop"``), ``route`` why: ``"admitted"`` (the vector kernel
+    finished), ``"dense"`` or ``"shared_lfsr"`` (refused by admission)
+    or ``"envelope"`` (admitted, then delegated by :func:`_solve`).
     """
-    return _run(trace, i_skip, i_begin, i_end, config, program,
-                prewarm_code, cost_check=True)
+    global last_kernel
+    stats, last_kernel, route = _run(trace, i_skip, i_begin, i_end,
+                                     config, program, prewarm_code,
+                                     cost_check=True)
+    return stats, last_kernel, route
 
 
 def _run(trace: RecordedTrace, i_skip: int, i_begin: int, i_end: int,
          config: Optional[TimingConfig], program, prewarm_code: bool,
-         cost_check: bool) -> TimingStats:
+         cost_check: bool) -> Tuple[TimingStats, str, str]:
     """:func:`run_fastpath_vec`, whose admission skips its cost check
     when ``cost_check`` is false.
 
@@ -323,7 +320,6 @@ def _run(trace: RecordedTrace, i_skip: int, i_begin: int, i_end: int,
     test.  The shared-LFSR check stays on — it is an exactness limit,
     not a cost verdict.
     """
-    global last_kernel, last_iterations, last_route
     cfg = config or TimingConfig()
     cols = trace.columns()
     if cols.has_trapped:
@@ -334,10 +330,8 @@ def _run(trace: RecordedTrace, i_skip: int, i_begin: int, i_end: int,
     lo = i_skip + 1
     hi = i_end + 1
     m = hi - lo
-    last_iterations = 0
     if m <= 0:
-        last_kernel, last_route = "vector", "admitted"
-        return _fp._empty_stats()
+        return TimingStats(), "vector", "admitted"
 
     kc = _window_kc(cols, lo, hi)
     route = _admit(kc, cfg, cost_check)
@@ -354,21 +348,19 @@ def _run(trace: RecordedTrace, i_skip: int, i_begin: int, i_end: int,
             except _Delegate:
                 p["delegate"] = True
                 route = "envelope"
-    last_route = route
     if route != "admitted":
-        last_kernel = "loop"
         return _fp.run_fastpath(trace, i_skip, i_begin, i_end,
                                 config=cfg, program=program,
-                                prewarm_code=prewarm_code, kc=kc)
-    last_kernel = "vector"
-    return _timed_stats(p, cfg, fetch, decode, commit, i_begin - lo)
+                                prewarm_code=prewarm_code,
+                                kc=kc), "loop", route
+    return (_timed_stats(p, cfg, fetch, decode, commit, i_begin - lo),
+            "vector", route)
 
 
 def _solve(p: Dict, cfg: TimingConfig):
     """The whole-window fixpoint.  Returns converged per-record cycle
     arrays; raises :class:`_Delegate` past the iteration caps or the
     issue-prune exactness envelope."""
-    global last_iterations
     m = p["m"]
     ar, ar_nc = p["ar"], p["ar_nc"]
     nc_idx, lat_nc = p["nc_idx"], p["lat_nc"]
@@ -403,7 +395,7 @@ def _solve(p: Dict, cfg: TimingConfig):
         commit = zeros
         F_prev = None
 
-    for outer in range(MAX_OUTER_ITERATIONS):
+    for _ in range(MAX_OUTER_ITERATIONS):
         # ---- fetch: sequential chain over spans, vector expansion ----
         if n_seg > 1:
             dec_b = decode[prevrec].tolist()
@@ -492,7 +484,6 @@ def _solve(p: Dict, cfg: TimingConfig):
                 amax = _np.maximum.accumulate(issue_nc)
                 if bool((amax[:-1] - req[1:] >= prune_window - 1).any()):
                     raise _Delegate()
-            last_iterations = outer + 1
             p["warm"] = (decode_new, complete_new, commit_new, F_list)
             return fetch, decode_new, complete_new, commit_new, F_list
         decode, complete, commit = decode_new, complete_new, commit_new

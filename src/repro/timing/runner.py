@@ -24,21 +24,20 @@ from __future__ import annotations
 
 import io
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..core.brr import RandomSource
 from ..isa.program import Program
 from ..sim.machine import Machine, MachineCheckpoint
 from ..sim.trace_io import RecordedTrace, TraceFormatError, record_trace
 from .config import TimingConfig
-from .fastpath import (
-    FastPathUnsupported,
-    fastpath_mode,
-    normalize_fast_mode,
-)
+from .fastpath import FastPathUnsupported, normalize_fast_mode
 from . import fastpath_vec
 from .pipeline import TimingSimulator, TimingStats
+
+if TYPE_CHECKING:
+    from ..engine.integrity import ValidationWatchdog
 
 #: (marker id, cumulative count) pair identifying an execution point.
 MarkerPoint = Tuple[int, int]
@@ -95,6 +94,16 @@ class WindowResult:
 
     stats: TimingStats
     total_steps: int
+    #: How a replayed window was timed (:func:`replay_window` fills it;
+    #: ``None`` elsewhere): ``timing_path`` (``"fast"``/``"golden"``),
+    #: ``timing_kernel``, ``timing_route``, ``replay_records``,
+    #: ``replay_records_per_s`` and, when the validation watchdog
+    #: sampled the replay, the ``validation*`` fields.  Observability
+    #: only: it takes no part in equality or :meth:`to_dict`, so cached
+    #: payloads and the engine's content-addressed keys stay
+    #: byte-identical across paths.
+    telemetry: Optional[Dict[str, object]] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def cycles(self) -> int:
@@ -247,21 +256,21 @@ def record_window(
     return trace
 
 
-# Out-of-band channel describing the most recent replay: which timing
-# path ran ("fast" or "golden"), its throughput, and — when the
-# validation watchdog sampled it — the golden cross-check outcome.
-# Observability only — keeping it out of WindowResult keeps cached
-# payloads (and the engine's content-addressed keys) byte-identical
-# across paths.
+#: Write-only mirror of the most recent replay's telemetry, kept for
+#: the benchmark's span tracer (``perfbench/tracer.py`` reads its
+#: ``replay_records`` after each traced replay).  Nothing in ``repro``
+#: reads it: :func:`replay_window` returns the telemetry on its result.
 _last_replay_info: Optional[Dict[str, object]] = None
 
 
-def _set_replay_info(path: str, records: int, elapsed: float,
-                     validation: Optional[Dict[str, object]] = None,
-                     kernel: Optional[str] = None,
-                     route: Optional[str] = None) -> None:
+def _replayed(stats: TimingStats, i_end: int, path: str, records: int,
+              elapsed: float, kernel: Optional[str] = None,
+              route: Optional[str] = None,
+              validation: Optional[Dict[str, object]] = None
+              ) -> WindowResult:
+    """A replay's result with its telemetry attached."""
     global _last_replay_info
-    _last_replay_info = {
+    telemetry = {
         "timing_path": path,
         "timing_kernel": kernel or path,
         "timing_route": route,
@@ -269,15 +278,10 @@ def _set_replay_info(path: str, records: int, elapsed: float,
         "replay_records_per_s": (records / elapsed) if elapsed > 0 else None,
     }
     if validation:
-        _last_replay_info.update(validation)
-
-
-def consume_replay_info() -> Optional[Dict[str, object]]:
-    """Pop the telemetry of the most recent :func:`replay_window`."""
-    global _last_replay_info
-    info = _last_replay_info
-    _last_replay_info = None
-    return info
+        telemetry.update(validation)
+    _last_replay_info = telemetry
+    return WindowResult(stats=stats, total_steps=i_end + 1,
+                        telemetry=telemetry)
 
 
 def _resolve_window(
@@ -299,11 +303,6 @@ def _resolve_window(
     return i_skip, i_begin, i_end
 
 
-def _resolve_fast_mode(fast: Optional[str]) -> str:
-    """``fast`` argument -> kernel mode (the active one when ``None``)."""
-    return normalize_fast_mode(fast) or fastpath_mode()
-
-
 def _replay_resolved(
     trace: RecordedTrace,
     i_skip: int,
@@ -313,6 +312,7 @@ def _replay_resolved(
     program: Optional[Program],
     prewarm_code: bool,
     mode: str,
+    watchdog: Optional[ValidationWatchdog] = None,
 ) -> WindowResult:
     """Replay one resolved window under an already-resolved kernel mode."""
     n_replayed = i_end - i_skip
@@ -320,31 +320,30 @@ def _replay_resolved(
         try:
             started = time.perf_counter()
             if mode == "vector":
-                stats = fastpath_vec.run_fastpath_vec(
+                stats, kernel, route = fastpath_vec.run_fastpath_vec(
                     trace, i_skip, i_begin, i_end, config=config,
                     program=program, prewarm_code=prewarm_code,
                 )
-            else:  # "solver": only _replay_solver/_replay_batch
-                stats = fastpath_vec._run(
+            else:  # "solver": only _replay_solver
+                stats, kernel, route = fastpath_vec._run(
                     trace, i_skip, i_begin, i_end, config, program,
                     prewarm_code, cost_check=False)
-            kernel = fastpath_vec.last_kernel
-            route = fastpath_vec.last_route
             elapsed = time.perf_counter() - started
-            stats, validation = _maybe_validate(
-                stats, trace, i_skip, i_begin, i_end, config,
-                program, prewarm_code)
-            _set_replay_info("fast", n_replayed, elapsed,
-                             validation=validation, kernel=kernel,
-                             route=route)
-            return WindowResult(stats=stats, total_steps=i_end + 1)
+            validation = None
+            if watchdog is not None and watchdog.take_ticket():
+                stats, validation = watchdog.judge(
+                    stats, _replay_golden(trace, i_skip, i_begin, i_end,
+                                          config, program, prewarm_code))
+            return _replayed(stats, i_end, "fast", n_replayed, elapsed,
+                             kernel=kernel, route=route,
+                             validation=validation)
         except FastPathUnsupported:
             pass  # golden loop below reproduces (or raises) exactly
     started = time.perf_counter()
     stats = _replay_golden(trace, i_skip, i_begin, i_end, config,
                            program, prewarm_code)
-    _set_replay_info("golden", n_replayed, time.perf_counter() - started)
-    return WindowResult(stats=stats, total_steps=i_end + 1)
+    return _replayed(stats, i_end, "golden", n_replayed,
+                     time.perf_counter() - started)
 
 
 def replay_window(
@@ -356,6 +355,7 @@ def replay_window(
     program: Optional[Program] = None,
     prewarm_code: bool = True,
     fast: Optional[str] = None,
+    watchdog: Optional[ValidationWatchdog] = None,
 ) -> WindowResult:
     """Replay a recorded functional stream through the timing model.
 
@@ -367,12 +367,15 @@ def replay_window(
     image's address range is not part of the trace).
 
     ``fast`` selects the execution strategy: ``"vector"`` (the
-    :mod:`~repro.timing.fastpath_vec` fixpoint kernel, which routes
-    windows it does not admit or cannot solve exactly to the loop
-    kernel of :mod:`~repro.timing.fastpath`) or ``"off"`` (the
-    per-record golden loop).  ``None`` (default) follows the active mode — the
-    engine's ``config.fast`` inside engine execution, else
-    ``"vector"``.  Every strategy produces byte-identical stats.
+    default when ``None``: the :mod:`~repro.timing.fastpath_vec`
+    fixpoint kernel, which routes windows it does not admit or cannot
+    solve exactly to the loop kernel of :mod:`~repro.timing.fastpath`)
+    or ``"off"`` (the per-record golden loop).  Every strategy
+    produces byte-identical stats.  ``watchdog`` (a
+    :class:`~repro.engine.integrity.ValidationWatchdog`, or ``None``)
+    counts fast replays and re-times every n-th with the golden loop.
+    The result's :attr:`~WindowResult.telemetry` says how the window
+    was timed.
     """
     i_skip, i_begin, i_end = _resolve_window(trace, begin, end,
                                              fast_forward)
@@ -380,7 +383,8 @@ def replay_window(
         raise ValueError("prewarm_code requires the program image")
     return _replay_resolved(trace, i_skip, i_begin, i_end, config,
                             program, prewarm_code,
-                            _resolve_fast_mode(fast))
+                            normalize_fast_mode(fast) or "vector",
+                            watchdog)
 
 
 def _replay_solver(
@@ -409,51 +413,20 @@ def replay_window_batch(
     prewarm_code: bool = True,
     fast: Optional[str] = None,
 ) -> List[WindowResult]:
-    """Replay several timing windows of ONE recorded trace in a batch.
+    """:func:`replay_window` once per window of ONE recorded trace.
 
     ``windows`` is a sequence of dicts with keys ``begin``, ``end`` and
-    optionally ``config`` / ``fast_forward``.  All windows replay the
-    same functional stream, so the per-trace work — columnar decode,
-    word tables, and (on the vector kernel) the cache/branch event
-    passes shared between configs with matching projections — is paid
-    once instead of per window.  Results are byte-identical to calling
-    :func:`replay_window` once per window; the batch form only changes
-    the amortisation.  After the call, :func:`consume_replay_info`
-    reports the last window's path, kernel and route with the record
-    count and throughput of the whole batch.
+    optionally ``config`` / ``fast_forward``.  The per-trace work —
+    columnar decode, word tables and the event passes shared between
+    configs with matching projections — is memoised on the trace, so
+    it is paid once either way.
     """
-    return _replay_batch(trace, windows, program, prewarm_code,
-                         _resolve_fast_mode(fast))
-
-
-def _replay_batch(
-    trace: RecordedTrace,
-    windows: Sequence[Dict[str, object]],
-    program: Optional[Program],
-    prewarm_code: bool,
-    mode: str,
-) -> List[WindowResult]:
-    """:func:`replay_window_batch` under a resolved kernel mode
-    (``"solver"`` is the private entry of :func:`_replay_solver`)."""
-    if prewarm_code and program is None:
-        raise ValueError("prewarm_code requires the program image")
-    global _last_replay_info
-    _last_replay_info = None  # an empty batch replays nothing
-    results: List[WindowResult] = []
-    records = 0
-    started = time.perf_counter()
-    for window in windows:
-        results.append(_replay_resolved(
-            trace, *_resolve_window(trace, window["begin"], window["end"],
-                                    window.get("fast_forward")),
-            window.get("config"), program, prewarm_code, mode))
-        records += _last_replay_info["replay_records"]
-    elapsed = time.perf_counter() - started
-    if _last_replay_info is not None:
-        _last_replay_info.update(
-            replay_records=records,
-            replay_records_per_s=records / elapsed if elapsed > 0 else None)
-    return results
+    return [replay_window(trace, window["begin"], window["end"],
+                          config=window.get("config"),
+                          fast_forward=window.get("fast_forward"),
+                          program=program, prewarm_code=prewarm_code,
+                          fast=fast)
+            for window in windows]
 
 
 def _replay_golden(
@@ -477,48 +450,6 @@ def _replay_golden(
         if index == i_begin:
             baseline = simulator.snapshot()
     return simulator.stats - baseline
-
-
-def _maybe_validate(
-    stats: TimingStats,
-    trace: RecordedTrace,
-    i_skip: int,
-    i_begin: int,
-    i_end: int,
-    config: Optional[TimingConfig],
-    program: Optional[Program],
-    prewarm_code: bool,
-) -> Tuple[TimingStats, Optional[Dict[str, object]]]:
-    """Cross-check a fast-path result against the golden model when the
-    validation watchdog (``REPRO_VALIDATE``) samples this replay.
-
-    Returns the stats to report — the fast result, or the golden one
-    under the ``fallback`` policy on divergence — plus the telemetry
-    dict for :func:`_set_replay_info` (``None`` when not sampled).
-    """
-    # Imported lazily: repro.engine imports this package at module
-    # scope, so a top-level import here would be circular.
-    from ..engine import integrity
-
-    if not integrity.take_validation_ticket():
-        return stats, None
-    golden = _replay_golden(trace, i_skip, i_begin, i_end, config,
-                            program, prewarm_code)
-    mismatches = integrity.compare_stats(stats, golden)
-    if not mismatches:
-        return stats, {"validation": "pass"}
-    policy = integrity.get_validation_settings().policy
-    detail = {"validation": "divergence",
-              "validation_policy": policy,
-              "validation_mismatches": mismatches}
-    if policy == "raise":
-        raise integrity.ValidationDivergence(
-            f"fast-path replay diverged from golden model on "
-            f"{len(mismatches)} field(s): "
-            + ", ".join(m["field"] for m in mismatches))
-    if policy == "fallback":
-        return golden, detail
-    return stats, detail  # "warn": keep the fast stats, report it
 
 
 def overhead_percent(base_cycles: int, instrumented_cycles: int) -> float:

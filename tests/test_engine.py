@@ -255,10 +255,10 @@ class TestEngineExecution:
 
         runner = windows.REGISTRY["microbench"]
 
-        def broken_group(params_list, store):
+        def broken_group(params_list, store, **options):
             if len(params_list) > 1:
                 raise RuntimeError("injected group failure")
-            return runner(params_list, store)
+            return runner(params_list, store, **options)
 
         monkeypatch.setitem(windows.REGISTRY, "microbench", broken_group)
         fallback = ExperimentEngine(config=EngineConfig(jobs=1),
@@ -312,9 +312,9 @@ class TestOneWindowPath:
         runner = windows.REGISTRY["microbench"]
         group_sizes = []
 
-        def counting(params_list, store):
+        def counting(params_list, store, **options):
             group_sizes.append(len(params_list))
-            return runner(params_list, store)
+            return runner(params_list, store, **options)
 
         monkeypatch.setitem(windows.REGISTRY, "microbench", counting)
 

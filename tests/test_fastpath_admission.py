@@ -28,7 +28,6 @@ from repro.timing import fastpath_vec
 from repro.timing.config import PAPER_CONFIG, TimingConfig
 from repro.timing.runner import (
     _replay_solver,
-    consume_replay_info,
     record_window,
     replay_window,
 )
@@ -70,12 +69,11 @@ class TestAdmission:
         trace.columns().vec_cache = None
         golden = _replay(replay_window, materials, trace, fast="off")
         fast = _replay(replay_window, materials, trace, fast="vector")
-        info = consume_replay_info()
         assert fast.stats == golden.stats
+        assert (fast.telemetry["timing_kernel"],
+                fast.telemetry["timing_route"]) == ("loop", "dense")
+        # The perfbench mirror follows the returned kernel.
         assert fastpath_vec.last_kernel == "loop"
-        assert fastpath_vec.last_route == "dense"
-        assert (info["timing_kernel"], info["timing_route"]) \
-            == ("loop", "dense")
         # No prep bundle: the loop kernel runs on the event passes alone.
         assert _memo_kinds(trace) == {"cache", "branch"}
         assert solver_calls == []
@@ -93,8 +91,8 @@ class TestAdmission:
             fast = _replay(replay_window, materials, trace, config=config,
                            fast="vector")
             assert fast.stats == golden.stats
-            assert (fastpath_vec.last_kernel, fastpath_vec.last_route) \
-                == ("loop", "dense")
+            assert (fast.telemetry["timing_kernel"],
+                    fast.telemetry["timing_route"]) == ("loop", "dense")
         keys = [key[0] for key in trace.columns().vec_cache
                 if isinstance(key, tuple)]
         assert sorted(keys) == ["branch", "cache"]
@@ -105,12 +103,10 @@ class TestAdmission:
             jvm_window_spec("jython", "none", scale=1.0))
         golden = _replay(replay_window, materials, trace, fast="off")
         fast = _replay(replay_window, materials, trace, fast="vector")
-        info = consume_replay_info()
         assert fast.stats == golden.stats
+        assert (fast.telemetry["timing_kernel"],
+                fast.telemetry["timing_route"]) == ("vector", "admitted")
         assert fastpath_vec.last_kernel == "vector"
-        assert fastpath_vec.last_route == "admitted"
-        assert (info["timing_kernel"], info["timing_route"]) \
-            == ("vector", "admitted")
         assert "prep" in _memo_kinds(trace)
         assert len(solver_calls) == 1
 
@@ -123,7 +119,8 @@ class TestAdmission:
         fast = _replay(_replay_solver, materials, trace,
                        config=SHARED_LFSR_CONFIG)
         assert fast.stats == golden.stats
-        assert fastpath_vec.last_route == "shared_lfsr"
+        assert (fast.telemetry["timing_kernel"],
+                fast.telemetry["timing_route"]) == ("loop", "shared_lfsr")
         assert _memo_kinds(trace) == {"cache", "branch"}
         assert solver_calls == []
 
@@ -133,7 +130,7 @@ class TestAdmission:
         golden = _replay(replay_window, materials, trace, fast="off")
         fast = _replay(_replay_solver, materials, trace)
         assert fast.stats == golden.stats
-        assert fastpath_vec.last_route in ("admitted", "envelope")
+        assert fast.telemetry["timing_route"] in ("admitted", "envelope")
         assert len(solver_calls) == 1
 
 

@@ -25,18 +25,11 @@ from repro.engine.windows import MATERIALS
 from repro.experiments.bench_timing import scorecard_bench_specs
 from repro.experiments.fig13 import microbench_window_spec
 from repro.timing.config import TimingConfig
-from repro.timing.fastpath import (
-    fastpath_mode,
-    fastpath_override,
-    run_fastpath,
-    set_fastpath_override,
-)
+from repro.timing.fastpath import run_fastpath
 from repro.timing.runner import (
     WindowResult,
-    _replay_batch,
     _replay_solver,
     _resolve_window,
-    consume_replay_info,
     record_window,
     replay_window,
     replay_window_batch,
@@ -105,11 +98,11 @@ class TestScorecardEquivalence:
                                config=_config(spec),
                                fast_forward=fast_forward,
                                program=materials["program"], fast="off")
-        assert consume_replay_info()["timing_path"] == "golden"
+        assert golden.telemetry["timing_path"] == "golden"
         fast = _replay(kernel, trace, begin, materials["end"],
                        config=_config(spec), fast_forward=fast_forward,
                        program=materials["program"])
-        info = consume_replay_info()
+        info = fast.telemetry
         if kernel == "vector":
             assert info["timing_path"] == "fast"
             assert edge == "empty" or info["replay_records_per_s"] > 0
@@ -141,15 +134,18 @@ class TestBatchedReplay:
                     "fast_forward": materials["fast_forward"]}
                    for config in self.CONFIGS]
         if kernel == "vector":
-            batched = _replay_batch(trace, windows, materials["program"],
-                                    True, "solver")
-            info = consume_replay_info()
-            # The aggregate record count covers every window of the batch.
+            batched = [_replay_solver(trace, window["begin"], window["end"],
+                                      config=window["config"],
+                                      fast_forward=window["fast_forward"],
+                                      program=materials["program"])
+                       for window in windows]
+            # Each window's telemetry counts its own records.
             i_skip, _, i_end = _resolve_window(
                 trace, materials["begin"], materials["end"],
                 materials["fast_forward"])
-            assert info["replay_records"] == len(windows) * (i_end - i_skip)
-            assert info["timing_path"] == "fast"
+            for result in batched:
+                assert result.telemetry["replay_records"] == i_end - i_skip
+                assert result.telemetry["timing_path"] == "fast"
         else:
             batched = [_replay(kernel, trace, window["begin"], window["end"],
                                config=window["config"],
@@ -180,16 +176,40 @@ class TestBatchedReplay:
                                       fast="vector")
         assert results[1].stats.cycles > results[0].stats.cycles
 
+    def test_batch_is_one_replay_per_window(self):
+        """The batch form is a loop over :func:`replay_window`: same
+        results, and each result carries its own window's telemetry."""
+        spec = self._spec()
+        materials, trace = _record(spec)
+        windows = [{"begin": materials["begin"], "end": materials["end"],
+                    "config": config,
+                    "fast_forward": materials["fast_forward"]}
+                   for config in self.CONFIGS]
+        for fast in ("vector", "off"):
+            results = replay_window_batch(trace, windows,
+                                          program=materials["program"],
+                                          fast=fast)
+            singles = [replay_window(trace, window["begin"], window["end"],
+                                     config=window["config"],
+                                     fast_forward=window["fast_forward"],
+                                     program=materials["program"],
+                                     fast=fast)
+                       for window in windows]
+            assert results == singles
+            assert [r.telemetry["timing_kernel"] for r in results] \
+                == [r.telemetry["timing_kernel"] for r in singles]
+        assert replay_window_batch(trace, [],
+                                   program=materials["program"]) == []
+
 
 class TestFastpathKnob:
     """``REPRO_FAST`` is read by ``EngineConfig.from_env`` alone; the
-    timing layer only follows the mode the engine installs."""
+    timing layer only follows the ``fast`` argument the engine passes
+    (unset: ``vector``)."""
 
     def test_env_default_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAST", raising=False)
-        set_fastpath_override(None)
         assert EngineConfig.from_env().fast == "vector"
-        assert fastpath_mode() == "vector"
 
     @pytest.mark.parametrize("value,expected", [
         ("vector", True), ("off", False),
@@ -224,40 +244,53 @@ class TestFastpathKnob:
         with pytest.raises(ValueError):
             normalize_fast_mode("warp")
 
-    @pytest.mark.parametrize("value", [False, True])
-    def test_boolean_override_rejected(self, value):
-        """The timing layer takes mode names only; an on/off boolean
-        is refused and leaves the active mode untouched."""
-        set_fastpath_override(None)
-        with pytest.raises(ValueError):
-            set_fastpath_override(value)
-        assert fastpath_mode() == "vector"
-
     def test_env_is_not_read_below_the_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST", "off")
-        set_fastpath_override(None)
-        assert fastpath_mode() == "vector"
-
-    def test_override_wins_and_restores(self):
-        set_fastpath_override(None)
-        with fastpath_override("off"):
-            assert fastpath_mode() == "off"
-            with fastpath_override("vector"):
-                assert fastpath_mode() == "vector"
-            assert fastpath_mode() == "off"
-        assert fastpath_mode() == "vector"
-
-    def test_replay_honours_env(self, monkeypatch):
-        """``REPRO_FAST=off`` reaches replay through the engine config
-        (``from_env`` -> installed override), not a second reader."""
+        """An unset ``fast`` means ``vector`` whatever the environment
+        says: only ``EngineConfig.from_env`` reads ``REPRO_FAST``."""
         spec = microbench_window_spec(300, "full-dup", seed=0, kind="brr",
                                       interval=256)
         materials, trace = _record(spec)
         monkeypatch.setenv("REPRO_FAST", "off")
-        with fastpath_override(EngineConfig.from_env().fast):
-            replay_window(trace, materials["begin"], materials["end"],
-                          program=materials["program"])
-        assert consume_replay_info()["timing_path"] == "golden"
+        result = replay_window(trace, materials["begin"], materials["end"],
+                               program=materials["program"])
+        assert result.telemetry["timing_path"] == "fast"
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_boolean_override_rejected(self, value):
+        """The per-call ``fast`` argument takes mode names only; an
+        on/off boolean is refused, never mapped to a kernel."""
+        from repro.timing.fastpath import normalize_fast_mode
+
+        with pytest.raises(ValueError):
+            normalize_fast_mode(value)
+
+    def test_override_wins_and_restores(self):
+        """A per-call ``fast`` wins for that call only: no mode is left
+        behind for the next call, whose unset ``fast`` means vector."""
+        spec = microbench_window_spec(300, "full-dup", seed=0, kind="brr",
+                                      interval=256)
+        materials, trace = _record(spec)
+
+        def path(fast):
+            return replay_window(
+                trace, materials["begin"], materials["end"],
+                program=materials["program"],
+                fast=fast).telemetry["timing_path"]
+
+        assert [path("off"), path("vector"), path(None), path("off")] \
+            == ["golden", "fast", "fast", "golden"]
+
+    def test_replay_honours_env(self, monkeypatch):
+        """``REPRO_FAST=off`` reaches replay through the engine config
+        (``from_env`` -> the ``fast`` argument), not a second reader."""
+        spec = microbench_window_spec(300, "full-dup", seed=0, kind="brr",
+                                      interval=256)
+        materials, trace = _record(spec)
+        monkeypatch.setenv("REPRO_FAST", "off")
+        result = replay_window(trace, materials["begin"], materials["end"],
+                               program=materials["program"],
+                               fast=EngineConfig.from_env().fast)
+        assert result.telemetry["timing_path"] == "golden"
 
     def test_replay_rejects_boolean_fast(self):
         spec = microbench_window_spec(300, "full-dup", seed=0, kind="brr",

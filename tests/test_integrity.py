@@ -27,28 +27,22 @@ from repro.engine import (
     RunRecorder,
     TraceStore,
     ValidationDivergence,
-    ValidationSettings,
+    ValidationWatchdog,
     corrupt_file,
     quarantined_entries,
     read_run_log_checked,
     run_doctor,
     scan_ledger,
-    validation_override,
 )
 from repro.engine.integrity import (
     REASON_SUFFIX,
     compare_stats,
     ledger_line_crc,
-    take_validation_ticket,
 )
 from repro.engine.windows import MATERIALS
 from repro.experiments.fig13 import microbench_window_spec
-from repro.timing import fastpath
-from repro.timing.runner import (
-    consume_replay_info,
-    record_window,
-    replay_window,
-)
+from repro.timing import fastpath_vec
+from repro.timing.runner import record_window, replay_window
 
 
 def _specs():
@@ -396,22 +390,49 @@ def _record_one():
     return materials, trace
 
 
-def _replay(materials, trace, fast="vector"):
+def _replay(materials, trace, fast="vector", watchdog=None):
     return replay_window(trace, materials["begin"], materials["end"],
-                         program=materials["program"], fast=fast)
+                         program=materials["program"], fast=fast,
+                         watchdog=watchdog)
 
 
 def _perturb(stats):
     return dataclasses.replace(stats, cycles=stats.cycles + 7)
 
 
+@pytest.fixture
+def buggy_kernel(monkeypatch):
+    """Perturb the stats of the kernel entry point the runner calls,
+    simulating a buggy fast path without touching the kernel itself."""
+    kernel = fastpath_vec.run_fastpath_vec
+
+    def perturbed(*args, **kwargs):
+        stats, executed, route = kernel(*args, **kwargs)
+        return _perturb(stats), executed, route
+
+    monkeypatch.setattr(fastpath_vec, "run_fastpath_vec", perturbed)
+
+
+def _cadence_specs():
+    """Eight timed Figure-13 windows: seeds 1-4 x {full-dup brr, none}."""
+    return [spec for seed in range(1, 5) for spec in (
+        microbench_window_spec(400, "full-dup", seed=seed, kind="brr",
+                               interval=64, lfsr_seed=64),
+        microbench_window_spec(400, "none", seed=seed))]
+
+
 class TestWatchdog:
     def test_ticket_cadence(self):
-        with validation_override(ValidationSettings(every=3)):
-            assert [take_validation_ticket() for _ in range(6)] == \
-                [False, False, True, False, False, True]
-        with validation_override(ValidationSettings(every=None)):
-            assert not any(take_validation_ticket() for _ in range(4))
+        watchdog = ValidationWatchdog(every=3)
+        assert [watchdog.take_ticket() for _ in range(6)] == \
+            [False, False, True, False, False, True]
+        off = ValidationWatchdog(every=None)
+        assert not any(off.take_ticket() for _ in range(4))
+        assert off.replays == 0
+
+    def test_bad_policy_rejected(self):
+        with pytest.raises(ValueError, match="policy"):
+            ValidationWatchdog(every=1, policy="ignore")
 
     def test_real_windows_report_zero_divergences(self, tmp_path):
         """Acceptance: REPRO_VALIDATE=1 on real windows — every fast
@@ -425,41 +446,54 @@ class TestWatchdog:
         assert summary["validation_passes"] > 0
         assert summary["validation_divergences"] == 0
 
-    def test_perturbed_fastpath_falls_back_to_golden(self):
+    @pytest.mark.parametrize("jobs,passes", [(1, 4), (2, None)])
+    def test_cadence_counts_every_replay_of_a_run(self, tmp_path, jobs,
+                                                  passes):
+        """``validate_every=2`` over eight fast windows: a serial run
+        validates every second replay (4 of 8); a pool worker keeps one
+        watchdog for its life, so two workers validate too."""
+        engine = _engine(tmp_path / "c", jobs=jobs, validate_every=2,
+                         validate_policy="raise")
+        engine.run(_cadence_specs())
+        summary = engine.summary()
+        assert summary["fastpath_windows"] == 8
+        assert summary["validation_divergences"] == 0
+        assert summary["validation_passes"] > 0
+        if passes is not None:
+            assert summary["validation_passes"] == passes
+
+    def test_perturbed_fastpath_falls_back_to_golden(self, buggy_kernel):
         materials, trace = _record_one()
         golden = _replay(materials, trace, fast="off")
-        with validation_override(ValidationSettings(every=1,
-                                                    policy="fallback")):
-            with fastpath.stats_tap(_perturb):
-                result = _replay(materials, trace)
-        info = consume_replay_info()
+        result = _replay(materials, trace, watchdog=ValidationWatchdog(
+            every=1, policy="fallback"))
+        info = result.telemetry
         assert info["validation"] == "divergence"
         assert info["validation_mismatches"] == [
             {"field": "cycles", "fast": golden.stats.cycles + 7,
              "golden": golden.stats.cycles}]
         assert result.stats == golden.stats  # the fallback
 
-    def test_warn_policy_keeps_fast_stats(self):
+    def test_warn_policy_keeps_fast_stats(self, buggy_kernel):
         materials, trace = _record_one()
         golden = _replay(materials, trace, fast="off")
-        with validation_override(ValidationSettings(every=1, policy="warn")):
-            with fastpath.stats_tap(_perturb):
-                result = _replay(materials, trace)
-        assert consume_replay_info()["validation"] == "divergence"
+        result = _replay(materials, trace, watchdog=ValidationWatchdog(
+            every=1, policy="warn"))
+        assert result.telemetry["validation"] == "divergence"
         assert result.stats.cycles == golden.stats.cycles + 7
 
-    def test_raise_policy_aborts(self):
+    def test_raise_policy_aborts(self, buggy_kernel):
         materials, trace = _record_one()
-        with validation_override(ValidationSettings(every=1, policy="raise")):
-            with fastpath.stats_tap(_perturb):
-                with pytest.raises(ValidationDivergence, match="cycles"):
-                    _replay(materials, trace)
+        with pytest.raises(ValidationDivergence, match="cycles"):
+            _replay(materials, trace, watchdog=ValidationWatchdog(
+                every=1, policy="raise"))
 
     def test_unsampled_replays_carry_no_validation(self):
         materials, trace = _record_one()
-        with validation_override(ValidationSettings(every=None)):
-            _replay(materials, trace)
-        assert "validation" not in consume_replay_info()
+        result = _replay(materials, trace,
+                         watchdog=ValidationWatchdog(every=None))
+        assert "validation" not in result.telemetry
+        assert "validation" not in _replay(materials, trace).telemetry
 
     def test_compare_stats_lists_only_diverging_fields(self):
         materials, trace = _record_one()
@@ -468,7 +502,8 @@ class TestWatchdog:
         mismatches = compare_stats(stats, _perturb(stats))
         assert [m["field"] for m in mismatches] == ["cycles"]
 
-    def test_engine_logs_typed_divergence_record(self, tmp_path):
+    def test_engine_logs_typed_divergence_record(self, tmp_path,
+                                                 buggy_kernel):
         """A divergence surfaces in the run ledger twice: as the
         window's `validation` field and as a typed evidence line."""
         log = tmp_path / "run.jsonl"
@@ -476,8 +511,7 @@ class TestWatchdog:
             config=EngineConfig(validate_every=1, validate_policy="warn"),
             cache=ResultCache(tmp_path / "c"),
             recorder=RunRecorder(log))
-        with fastpath.stats_tap(_perturb):
-            engine.run(_specs())
+        engine.run(_specs())
         summary = engine.summary()
         assert summary["validation_divergences"] > 0
         lines = [json.loads(l) for l in log.read_text().splitlines()]
